@@ -3,8 +3,9 @@
 Exit codes follow one convention across subcommands: 0 on success
 (including a solver run that stops without converging), 1 on domain
 errors (mismatched ids, invalid budgets, unknown modes, missing ground
-truth), 2 on I/O failures. All outputs are deterministic for a fixed
-configuration and seed, independent of the thread count.
+truth) and when memory runs out, 2 on I/O failures. All outputs are
+deterministic for a fixed configuration and seed, independent of the
+thread count.
 """
 
 from __future__ import annotations
@@ -12,80 +13,48 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from hubsel import evaluation, features, neighbors, selector, stats
-
-DEFAULT_K_HUB = 10
-DEFAULT_N_LID = 100
-DEFAULT_M_DIV = 30
 
 _INIT_NAMES = {"hub-first": "hub_first", "lid-first": "lid_first", "uniform": "uniform"}
 _AFFINITY_NAMES = {"dense": "dense", "knn-sparse": "knn_sparse"}
 
 
-@dataclass
-class RunConfig:
-    """Validated knob set shared by the pipeline commands."""
-
-    metric: str = "cosine"
-    k_hub: int = DEFAULT_K_HUB
-    n_lid: int = DEFAULT_N_LID
-    m_div: int = DEFAULT_M_DIV
-    budget_k: int | None = None
-    init: str = "hub-first"
-    seed: int = 0
-    thread_count: int = 1
-    step_rule: str = "derived"
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls(
-            metric=getattr(args, "metric", "cosine"),
-            k_hub=getattr(args, "k_hub", DEFAULT_K_HUB),
-            n_lid=getattr(args, "n_lid", DEFAULT_N_LID),
-            m_div=getattr(args, "m_div", DEFAULT_M_DIV),
-            budget_k=getattr(args, "k", None),
-            init=getattr(args, "init", "hub-first"),
-            seed=getattr(args, "seed", 0),
-            thread_count=getattr(args, "threads", 1),
-            step_rule=getattr(args, "step", "derived"),
-        )
-        if cfg.metric not in neighbors.METRICS:
-            raise ValueError(f"unknown metric '{cfg.metric}'")
-        for name in ("k_hub", "n_lid", "m_div"):
-            if getattr(cfg, name) < 1:
-                raise ValueError(f"{name.replace('_', '-')} must be positive")
-        if cfg.thread_count < 1:
-            raise ValueError("threads must be positive")
-        if cfg.init not in _INIT_NAMES:
-            raise ValueError(f"unknown init '{cfg.init}'")
-        if cfg.step_rule not in ("derived", "paper"):
-            raise ValueError(f"unknown step rule '{cfg.step_rule}'")
-        return cfg
-
-    @property
-    def graph_k(self) -> int:
-        # one graph is built wide enough for hubness, lid, and diversity
-        return max(self.k_hub, self.n_lid + 1, self.m_div)
+def _checked_graph_k(args) -> int:
+    """Check the count options a command has; return the width of the one
+    kNN graph that serves hubness, LID and diversity."""
+    counts = {name: getattr(args, name, 1) for name in ("k_hub", "n_lid", "m_div", "threads")}
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name.replace('_', '-')} must be positive")
+    return max(counts["k_hub"], counts["n_lid"] + 1, counts["m_div"])
 
 
-def _build_graph(m, cfg: RunConfig) -> neighbors.NeighborGraph:
+def _build_graph(m, args) -> neighbors.NeighborGraph:
     return neighbors.knn_graph(
-        m, min(cfg.graph_k, m.n - 1), metric=cfg.metric, threads=cfg.thread_count
+        m, min(_checked_graph_k(args), m.n - 1), metric=args.metric, threads=args.threads
     )
 
 
-def _cached_graph(m, cfg: RunConfig, feature_path, out_dir: Path) -> neighbors.NeighborGraph:
-    digest = hashlib.sha256(Path(feature_path).read_bytes()).hexdigest()[:12]
-    kmax = min(cfg.graph_k, m.n - 1)
-    cache = out_dir / f"graph_{digest}_{cfg.metric}_k{kmax}.csv"
+def _cached_graph(m, args, out_dir: Path) -> neighbors.NeighborGraph:
+    """The graph of ``args.features``, from the cache in ``out_dir`` when it
+    reads back; a missing or damaged cache is (re)built and replaced."""
+    digest = hashlib.sha256(Path(args.features).read_bytes()).hexdigest()[:12]
+    kmax = min(_checked_graph_k(args), m.n - 1)
+    cache = out_dir / f"graph_{digest}_{args.metric}_k{kmax}.csv"
     if cache.exists():
-        return neighbors.load_graph(cache, m.ids, cfg.metric)
-    g = _build_graph(m, cfg)
-    neighbors.save_graph(g, m.ids, cache)
+        try:
+            return neighbors.load_graph(cache, m.ids, args.metric)
+        except ValueError:
+            pass
+    g = _build_graph(m, args)
+    # written aside, then renamed, so a killed run leaves no partial cache
+    partial = cache.with_name(cache.name + ".partial")
+    neighbors.save_graph(g, m.ids, partial)
+    os.replace(partial, cache)
     return g
 
 
@@ -98,23 +67,21 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_knn(args) -> int:
-    cfg = RunConfig.from_args(args)
     if args.k < 1:
         raise ValueError(f"invalid neighbor count k = {args.k}")
     m = features.load_features(args.features)
-    g = neighbors.knn_graph(m, args.k, metric=cfg.metric, threads=cfg.thread_count)
+    g = neighbors.knn_graph(m, args.k, metric=args.metric, threads=args.threads)
     neighbors.save_graph(g, m.ids, args.out)
     print(f"knn graph: {g.n} fragments, {g.indices.shape[1]} neighbors -> {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    cfg = RunConfig.from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     m = features.load_features(args.features)
-    g = _cached_graph(m, cfg, args.features, out_dir)
-    profile = stats.compute_profile(m, g, k_hub=cfg.k_hub, n_lid=cfg.n_lid, m_div=cfg.m_div)
+    g = _cached_graph(m, args, out_dir)
+    profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
     stats.save_profile_csv(profile, out_dir / "profile.csv")
     stats.save_summary_json(profile, out_dir / "summary.json")
     stats.save_scatter_csv(profile, out_dir / "scatter.csv")
@@ -122,47 +89,40 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _profile_for(m, cfg: RunConfig, args):
-    """Profile from --profiles when given, else computed on the fly."""
+def _solve(m, args, affinity_name: str, init: str, linear=False, max_iterations=None):
+    """Profile (from --profiles, else computed), affinity, and solver run."""
     graph = None
-    if getattr(args, "profiles", None):
+    if args.profiles:
         profile = stats.load_profile_csv(args.profiles)
         if profile.ids != m.ids:
-            raise ValueError(
-                f"profile ids do not match feature ids ({args.profiles})"
-            )
+            raise ValueError(f"profile ids do not match feature ids ({args.profiles})")
     else:
-        graph = _build_graph(m, cfg)
-        profile = stats.compute_profile(m, g=graph, k_hub=cfg.k_hub, n_lid=cfg.n_lid, m_div=cfg.m_div)
-    return profile, graph
+        graph = _build_graph(m, args)
+        profile = stats.compute_profile(
+            m, g=graph, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div
+        )
+    affinity = _AFFINITY_NAMES.get(affinity_name)
+    if affinity is None:
+        raise ValueError(f"unknown affinity mode '{affinity_name}'")
+    if affinity == "knn_sparse" and graph is None:
+        graph = _build_graph(m, args)
+    problem = selector.build_problem(
+        profile.hubness, profile.lid, m,
+        metric=args.metric, k=args.k, mode=affinity, graph=graph, linear=linear,
+    )
+    solver_cfg = selector.SolverConfig(
+        init=_INIT_NAMES[init], step_rule=args.step, max_iterations=max_iterations
+    )
+    y, trace = selector.solve(problem, solver_cfg)
+    return problem, y, trace
 
 
 def cmd_select(args) -> int:
-    cfg = RunConfig.from_args(args)
     m = features.load_features(args.features)
-    profile, graph = _profile_for(m, cfg, args)
-    affinity = _AFFINITY_NAMES.get(args.mode)
-    if affinity is None:
-        raise ValueError(f"unknown affinity mode '{args.mode}'")
-    if affinity == "knn_sparse" and graph is None:
-        graph = _build_graph(m, cfg)
-    problem = selector.build_problem(
-        profile.hubness,
-        profile.lid,
-        m,
-        metric=cfg.metric,
-        k=args.k,
-        mode=affinity,
-        graph=graph,
-        linear=args.linear,
+    problem, y, trace = _solve(
+        m, args, args.mode, args.init, linear=args.linear, max_iterations=args.max_iter
     )
-    solver_cfg = selector.SolverConfig(
-        init=_INIT_NAMES[cfg.init],
-        step_rule=cfg.step_rule,
-        max_iterations=args.max_iter,
-    )
-    y, trace = selector.solve(problem, solver_cfg)
-    selector.save_solution(args.out, m.ids, problem, y, trace, init_label=cfg.init)
+    selector.save_solution(args.out, m.ids, problem, y, trace, init_label=args.init)
     if args.trace:
         selector.save_trace(args.trace, trace)
     for i in selector.round_selection(y, problem):
@@ -171,7 +131,6 @@ def cmd_select(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    cfg = RunConfig.from_args(args)
     mode = args.mode
     if mode in evaluation.BASELINE_MODES:
         if not args.profiles:
@@ -179,26 +138,13 @@ def cmd_rank(args) -> int:
         profile = stats.load_profile_csv(args.profiles)
         scores = evaluation.load_scores(args.scores) if args.scores else None
         ranking = evaluation.baseline_rank(
-            profile, mode, seed=cfg.seed, scores=scores, query_id=args.query_id
+            profile, mode, seed=args.seed, scores=scores, query_id=args.query_id
         )
     elif mode in ("hub-first", "lid-first"):
         if not args.features or args.k is None:
             raise ValueError(f"mode '{mode}' requires --features and --k")
         m = features.load_features(args.features)
-        profile, graph = _profile_for(m, cfg, args)
-        affinity = _AFFINITY_NAMES.get(args.affinity)
-        if affinity is None:
-            raise ValueError(f"unknown affinity mode '{args.affinity}'")
-        if affinity == "knn_sparse" and graph is None:
-            graph = _build_graph(m, cfg)
-        problem = selector.build_problem(
-            profile.hubness, profile.lid, m,
-            metric=cfg.metric, k=args.k, mode=affinity, graph=graph,
-        )
-        solver_cfg = selector.SolverConfig(
-            init=_INIT_NAMES[mode], step_rule=cfg.step_rule
-        )
-        y, _ = selector.solve(problem, solver_cfg)
+        problem, y, _ = _solve(m, args, args.affinity, mode)
         order = selector.ranking_order(y, problem)
         ranking = evaluation.Ranking(
             query_id=args.query_id, items=[m.ids[i] for i in order]
@@ -240,18 +186,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_common(sub, *, threads: bool = True) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
-    if threads:
-        sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1)
 
 
 def _add_profile_knobs(sub) -> None:
-    sub.add_argument("--k-hub", dest="k_hub", type=int, default=DEFAULT_K_HUB,
+    sub.add_argument("--k-hub", dest="k_hub", type=int, default=10,
                      help="neighbors for hubness scores")
-    sub.add_argument("--n-lid", dest="n_lid", type=int, default=DEFAULT_N_LID,
+    sub.add_argument("--n-lid", dest="n_lid", type=int, default=100,
                      help="sample size of the lid estimator")
-    sub.add_argument("--m-div", dest="m_div", type=int, default=DEFAULT_M_DIV,
+    sub.add_argument("--m-div", dest="m_div", type=int, default=30,
                      help="neighbors for the diversity score")
 
 
@@ -328,12 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _checked_graph_k(args)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return 1
 
 

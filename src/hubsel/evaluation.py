@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hubsel import table
 from hubsel.stats import StatProfile
 
 
@@ -23,6 +24,7 @@ class Ranking:
     items: list[str]
 
     def __post_init__(self):
+        table.check_id(self.query_id, "query id")
         if len(set(self.items)) != len(self.items):
             seen = set()
             for item in self.items:
@@ -135,24 +137,10 @@ RUN_HEADER = "query_id,rank,fragment_id"
 SCORE_MIN, SCORE_MAX = 0.0, 15.0
 
 
-def _rows(path, expected_fields: int, header: str):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line or (lineno == 1 and line == header):
-                continue
-            parts = line.split(",")
-            if len(parts) != expected_fields:
-                raise ValueError(
-                    f"{path}: row {lineno}: expected {expected_fields} fields, got {len(parts)}"
-                )
-            yield lineno, parts
-
-
 def load_ground_truth(path) -> dict[str, set[str]]:
     """Read ``query_id,fragment_id`` rows into a relevance mapping."""
     gt: dict[str, set[str]] = {}
-    for _, (qid, fid) in _rows(path, 2, GT_HEADER):
+    for _, (qid, fid) in table.read_rows(path, 2, GT_HEADER):
         gt.setdefault(qid, set()).add(fid)
     return gt
 
@@ -160,7 +148,7 @@ def load_ground_truth(path) -> dict[str, set[str]]:
 def load_scores(path) -> dict[str, float]:
     """Read ``fragment_id,score`` rows; scores must lie in [0, 15]."""
     scores: dict[str, float] = {}
-    for lineno, (fid, val) in _rows(path, 2, SCORES_HEADER):
+    for lineno, (fid, val) in table.read_rows(path, 2, SCORES_HEADER):
         v = float(val)
         if not (SCORE_MIN <= v <= SCORE_MAX):
             raise ValueError(
@@ -174,18 +162,19 @@ def save_run(path, rankings) -> None:
     """Write rankings as ``query_id,rank,fragment_id`` rows, rank from 1."""
     if isinstance(rankings, Ranking):
         rankings = [rankings]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(RUN_HEADER + "\n")
-        for r in rankings:
-            for pos, item in enumerate(r.items, start=1):
-                fh.write(f"{r.query_id},{pos},{item}\n")
+    rows = (
+        (r.query_id, str(pos), item)
+        for r in rankings
+        for pos, item in enumerate(r.items, start=1)
+    )
+    table.write_rows(path, rows, header=RUN_HEADER)
 
 
 def load_run(path) -> list[Ranking]:
     """Reload rankings written by :func:`save_run`, ranks must be 1..len."""
     per_query: dict[str, list[tuple[int, str]]] = {}
     order: list[str] = []
-    for lineno, (qid, rank_s, fid) in _rows(path, 3, RUN_HEADER):
+    for lineno, (qid, rank_s, fid) in table.read_rows(path, 3, RUN_HEADER):
         if qid not in per_query:
             per_query[qid] = []
             order.append(qid)

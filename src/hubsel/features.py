@@ -5,7 +5,8 @@ fragment. Two on-disk layouts are supported: plain CSV (``id,v1,...,vd``,
 UTF-8, no header row) and the compact ``fbin`` binary layout (magic
 ``HLF1``, little-endian u32 row and column counts, float32 values in row
 major order, then length-prefixed UTF-8 ids). Values are float64 in
-memory regardless of the storage format.
+memory regardless of the storage format. Ids are written unquoted to
+every CSV table, so no id may contain ``,``, ``\\r`` or ``\\n``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from hubsel import table
 
 FBIN_MAGIC = b"HLF1"
 
@@ -51,6 +54,8 @@ class FeatureMatrix:
             raise ValueError(f"{len(self.ids)} ids for {n} rows")
         if len(set(self.ids)) != n:
             raise ValueError("fragment ids must be unique")
+        for row, ident in enumerate(self.ids, start=1):
+            table.check_id(ident, f"row {row}: id")
         if not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
 
@@ -107,44 +112,33 @@ def _load_csv(path) -> FeatureMatrix:
     rows: list[list[float]] = []
     seen: set[str] = set()
     d = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
+    for lineno, (ident, *tokens) in table.read_rows(path):
+        if not tokens:
+            raise FeatureFormatError(
+                f"{path}: row {lineno}: expected 'id,v1,...,vd', got 1 field(s)"
+            )
+        if d is None:
+            d = len(tokens)
+        elif len(tokens) != d:
+            raise FeatureFormatError(
+                f"{path}: row {lineno}: expected {d} values, got {len(tokens)}"
+            )
+        if ident in seen:
+            raise FeatureFormatError(f"{path}: row {lineno}: duplicate id '{ident}'")
+        seen.add(ident)
+        vals = []
+        for tok in tokens:
+            try:
+                v = float(tok)
+            except ValueError:
                 raise FeatureFormatError(
-                    f"{path}: row {lineno}: expected 'id,v1,...,vd', "
-                    f"got {len(parts)} field(s)"
-                )
-            ident, tokens = parts[0], parts[1:]
-            if d is None:
-                d = len(tokens)
-            elif len(tokens) != d:
-                raise FeatureFormatError(
-                    f"{path}: row {lineno}: expected {d} values, got {len(tokens)}"
-                )
-            if ident in seen:
-                raise FeatureFormatError(
-                    f"{path}: row {lineno}: duplicate id '{ident}'"
-                )
-            seen.add(ident)
-            vals = []
-            for tok in tokens:
-                try:
-                    v = float(tok)
-                except ValueError:
-                    raise FeatureFormatError(
-                        f"{path}: row {lineno}: invalid numeric value '{tok}'"
-                    ) from None
-                if not math.isfinite(v):
-                    raise FeatureFormatError(
-                        f"{path}: row {lineno}: non-finite value '{tok}'"
-                    )
-                vals.append(v)
-            ids.append(ident)
-            rows.append(vals)
+                    f"{path}: row {lineno}: invalid numeric value '{tok}'"
+                ) from None
+            if not math.isfinite(v):
+                raise FeatureFormatError(f"{path}: row {lineno}: non-finite value '{tok}'")
+            vals.append(v)
+        ids.append(ident)
+        rows.append(vals)
     if not ids:
         raise FeatureFormatError(f"{path}: empty feature file")
     return FeatureMatrix(ids=ids, values=np.array(rows, dtype=np.float64))
@@ -197,9 +191,8 @@ def save_features(m: FeatureMatrix, path, fmt: str | None = None) -> None:
     """Write ``m`` to ``path`` in CSV or fbin format (inferred from suffix)."""
     fmt = fmt or _infer_format(path)
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for ident, row in zip(m.ids, m.values):
-                fh.write(ident + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        rows = ([ident, *map(repr, row)] for ident, row in zip(m.ids, m.values.tolist()))
+        table.write_rows(path, rows)
     elif fmt == "fbin":
         for ident in m.ids:
             if len(ident.encode("utf-8")) > 0xFFFF:
@@ -214,11 +207,6 @@ def save_features(m: FeatureMatrix, path, fmt: str | None = None) -> None:
                 fh.write(raw)
     else:
         raise ValueError(f"unknown feature format '{fmt}'")
-
-
-def zero_rows(m: FeatureMatrix) -> np.ndarray:
-    """Indices of all-zero rows (rows with zero Euclidean norm)."""
-    return np.flatnonzero(np.linalg.norm(m.values, axis=1) == 0.0)
 
 
 def l2_normalize(m: FeatureMatrix) -> FeatureMatrix:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from hubsel import table
+
 METRICS = ("cosine", "euclidean")
 
 # Rows per scan block, sized so one block of the distance matrix stays
@@ -54,6 +56,17 @@ def pairwise_distance(x, y, metric: str) -> float:
     if nx == 0.0 or ny == 0.0:
         raise ValueError("cosine distance undefined for zero-norm vector")
     return max(0.0, 1.0 - float(np.dot(x, y)) / (nx * ny))
+
+
+def distance_matrix(x, y, metric: str) -> np.ndarray:
+    """All distances between the rows of ``x`` and ``y``.
+
+    Cosine distances that rounding pushed below 0 are clipped to 0.
+    """
+    D = cdist(x, y, metric=metric)
+    if metric == "cosine":
+        np.clip(D, 0.0, None, out=D)
+    return D
 
 
 @dataclass
@@ -130,9 +143,7 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
 
     def scan(span):
         s, e = span
-        D = cdist(X[s:e], X, metric=metric)
-        if metric == "cosine":
-            np.clip(D, 0.0, None, out=D)
+        D = distance_matrix(X[s:e], X, metric)
         # self-distance to +inf so the query drops out of its own list
         D[np.arange(e - s), np.arange(s, e)] = np.inf
         order = np.argsort(D, axis=1, kind="stable")[:, :k_eff]
@@ -157,13 +168,14 @@ def save_graph(g: NeighborGraph, ids: list[str], path) -> None:
     Ranks start at 1. Distances are written with full round-trip
     precision so a reloaded graph is bit-identical.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(GRAPH_HEADER + "\n")
-        for i in range(g.n):
-            qid = ids[i]
-            for r in range(g.indices.shape[1]):
-                j = g.indices[i, r]
-                fh.write(f"{qid},{r + 1},{ids[j]},{float(g.distances[i, r])!r}\n")
+    ranks = [str(r) for r in range(1, g.indices.shape[1] + 1)]
+
+    def rows():
+        for qid, nbrs, dists in zip(ids, g.indices, g.distances):
+            for rank, j, dist in zip(ranks, nbrs.tolist(), dists.tolist()):
+                yield qid, rank, ids[j], repr(dist)
+
+    table.write_rows(path, rows(), header=GRAPH_HEADER)
 
 
 def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
@@ -176,22 +188,12 @@ def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
     _check_metric(metric)
     index = {ident: i for i, ident in enumerate(ids)}
     per_query: dict[int, list[tuple[int, int, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line or (lineno == 1 and line == GRAPH_HEADER):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: row {lineno}: expected 4 fields, got {len(parts)}")
-            qid, rank_s, nid, dist_s = parts
-            if qid not in index:
-                raise ValueError(f"{path}: row {lineno}: unknown query id '{qid}'")
-            if nid not in index:
-                raise ValueError(f"{path}: row {lineno}: unknown neighbor id '{nid}'")
-            per_query.setdefault(index[qid], []).append(
-                (int(rank_s), index[nid], float(dist_s))
-            )
+    for lineno, (qid, rank_s, nid, dist_s) in table.read_rows(path, 4, GRAPH_HEADER):
+        if qid not in index:
+            raise ValueError(f"{path}: row {lineno}: unknown query id '{qid}'")
+        if nid not in index:
+            raise ValueError(f"{path}: row {lineno}: unknown neighbor id '{nid}'")
+        per_query.setdefault(index[qid], []).append((int(rank_s), index[nid], float(dist_s)))
     n = len(ids)
     if set(per_query) != set(range(n)):
         missing = sorted(set(range(n)) - set(per_query))

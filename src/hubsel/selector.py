@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.distance import cdist
 
-from hubsel.neighbors import NeighborGraph, check_cosine_rows, _check_metric
+from hubsel import table
+from hubsel.neighbors import NeighborGraph, _check_metric, check_cosine_rows, distance_matrix
 
 
 @dataclass
@@ -160,9 +160,7 @@ def build_problem(
     if mode == "dense":
         if metric == "cosine":
             check_cosine_rows(m)
-        a = cdist(m.values, m.values, metric=metric)
-        if metric == "cosine":
-            np.clip(a, 0.0, None, out=a)
+        a = distance_matrix(m.values, m.values, metric)
         np.fill_diagonal(a, 0.0)
     elif mode == "knn_sparse":
         if graph is None:
@@ -406,10 +404,7 @@ def round_selection(y, p: SelectionProblem) -> list[int]:
     Ties are broken by the higher reward at y, then by the smaller
     index, so rounding is deterministic.
     """
-    v = _as_vector(y)
-    r = rewards(p, v)
-    order = np.lexsort((np.arange(v.size), -r, -v))
-    return [int(i) for i in order[: p.k]]
+    return ranking_order(y, p)[: p.k]
 
 
 def ranking_order(y, p: SelectionProblem) -> list[int]:
@@ -450,8 +445,9 @@ TRACE_HEADER = "iteration,objective,eta,donor,receiver,alpha"
 
 def save_trace(path, trace: SolverTrace) -> None:
     """Write per-iteration rows ``iteration,objective,eta,donor,receiver,alpha``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for t, (eta, donor, receiver, alpha) in enumerate(trace.updates, start=1):
-            obj = trace.objective_per_iteration[t]
-            fh.write(f"{t},{obj!r},{eta!r},{donor},{receiver},{alpha!r}\n")
+    objs = trace.objective_per_iteration
+    rows = (
+        (str(t), repr(objs[t]), repr(eta), str(donor), str(receiver), repr(alpha))
+        for t, (eta, donor, receiver, alpha) in enumerate(trace.updates, start=1)
+    )
+    table.write_rows(path, rows, header=TRACE_HEADER)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from hubsel.neighbors import NeighborGraph
+from hubsel import table
+from hubsel.neighbors import NeighborGraph, distance_matrix
 
 # Cap for unstable LID estimates. Estimates at or above the cap (and the
 # all-equal-distance case, whose raw estimate is infinite) are stored as
@@ -166,9 +166,7 @@ def diversity(m, g: NeighborGraph, m_nbr: int = 30) -> DiversityProfile:
     iu = np.triu_indices(use, k=1)
     for i in range(n):
         sub = X[g.indices[i, :use]]
-        D = cdist(sub, sub, metric=g.metric)
-        if g.metric == "cosine":
-            np.clip(D, 0.0, None, out=D)
+        D = distance_matrix(sub, sub, g.metric)
         values[i] = float(D[iu].mean())
     return DiversityProfile(m_nbr=m_nbr, values=values)
 
@@ -243,14 +241,12 @@ SCATTER_HEADER = "id,lid,N_k,diversity"
 def save_profile_csv(profile: StatProfile, path) -> None:
     """Write per-fragment rows ``id,N_k,category,lid,degenerate,diversity``."""
     hub, lid, div = profile.hubness, profile.lid, profile.diversity
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(PROFILE_HEADER + "\n")
-        for i, ident in enumerate(profile.ids):
-            fh.write(
-                f"{ident},{int(hub.scores[i])},{hub.categories[i]},"
-                f"{float(lid.lids[i])!r},{int(lid.degenerate[i])},"
-                f"{float(div.values[i])!r}\n"
-            )
+    rows = (
+        (ident, str(int(hub.scores[i])), str(hub.categories[i]), repr(float(lid.lids[i])),
+         str(int(lid.degenerate[i])), repr(float(div.values[i])))
+        for i, ident in enumerate(profile.ids)
+    )
+    table.write_rows(path, rows, header=PROFILE_HEADER)
 
 
 def load_profile_csv(path, summary_path=None) -> StatProfile:
@@ -262,20 +258,13 @@ def load_profile_csv(path, summary_path=None) -> StatProfile:
     """
     ids: list[str] = []
     scores, cats, lids, degs, divs = [], [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line or (lineno == 1 and line == PROFILE_HEADER):
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}: row {lineno}: expected 6 fields, got {len(parts)}")
-            ids.append(parts[0])
-            scores.append(int(parts[1]))
-            cats.append(parts[2])
-            lids.append(float(parts[3]))
-            degs.append(bool(int(parts[4])))
-            divs.append(float(parts[5]))
+    for _, (ident, n_k, cat, lid, deg, div) in table.read_rows(path, 6, PROFILE_HEADER):
+        ids.append(ident)
+        scores.append(int(n_k))
+        cats.append(cat)
+        lids.append(float(lid))
+        degs.append(bool(int(deg)))
+        divs.append(float(div))
     if not ids:
         raise ValueError(f"{path}: empty profile file")
     k = n_nbr = m_nbr = 0
@@ -312,11 +301,9 @@ def save_summary_json(profile: StatProfile, path) -> None:
 
 def save_scatter_csv(profile: StatProfile, path) -> None:
     """Write ``id,lid,N_k,diversity`` rows for scatter plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SCATTER_HEADER + "\n")
-        for i, ident in enumerate(profile.ids):
-            fh.write(
-                f"{ident},{float(profile.lid.lids[i])!r},"
-                f"{int(profile.hubness.scores[i])},"
-                f"{float(profile.diversity.values[i])!r}\n"
-            )
+    lid, hub, div = profile.lid, profile.hubness, profile.diversity
+    rows = (
+        (ident, repr(float(lid.lids[i])), str(int(hub.scores[i])), repr(float(div.values[i])))
+        for i, ident in enumerate(profile.ids)
+    )
+    table.write_rows(path, rows, header=SCATTER_HEADER)

@@ -1,0 +1,42 @@
+"""The CSV dialect shared by every hubsel table.
+
+Tables are UTF-8 text with one row per line and fields separated by
+``,``. Nothing is quoted, so an id must never contain ``,``, ``\\r`` or
+``\\n``; :func:`check_id` holds that rule. Readers skip blank and
+whitespace-only lines, and skip line 1 when it equals the table's header.
+"""
+
+from __future__ import annotations
+
+
+def check_id(ident: str, what: str) -> None:
+    """Reject an id that cannot be written as one table field."""
+    if "," in ident or "\r" in ident or "\n" in ident:
+        raise ValueError(f"{what} {ident!r} contains ',', '\\r' or '\\n'")
+
+
+def read_rows(path, fields: int | None = None, header: str | None = None):
+    """Yield ``(lineno, parts)`` for every data row of the table at ``path``.
+
+    With ``fields`` given, a row of any other width raises ValueError
+    naming the path and the row; without it the caller checks widths.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip() or (lineno == 1 and line == header):
+                continue
+            parts = line.split(",")
+            if fields is not None and len(parts) != fields:
+                raise ValueError(
+                    f"{path}: row {lineno}: expected {fields} fields, got {len(parts)}"
+                )
+            yield lineno, parts
+
+
+def write_rows(path, rows, header: str | None = None) -> None:
+    """Write ``rows``, each a sequence of str fields, after an optional header."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)

@@ -6,6 +6,7 @@ index tie keys, subset optima by exhaustive enumeration.
 """
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -93,3 +94,14 @@ def ap_reference(items, relevant, depth):
         return 0.0
     precision = np.cumsum(flags) / np.arange(1, flags.size + 1)
     return float((precision * flags).sum() / min(len(relevant), depth))
+
+
+def write_fbin(path, ids, values):
+    """An fbin file written byte by byte, so any id can be stored."""
+    values = np.asarray(values, dtype="<f4")
+    raw = b"HLF1" + struct.pack("<II", *values.shape) + values.tobytes()
+    for ident in ids:
+        enc = ident.encode("utf-8")
+        raw += struct.pack("<H", len(enc)) + enc
+    path.write_bytes(raw)
+    return path

@@ -7,7 +7,7 @@ import pytest
 
 from hubsel import cli, evaluation, features, neighbors, selector, stats
 from hubsel.evaluation import Ranking
-from helpers import random_matrix
+from helpers import random_matrix, write_fbin
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,26 @@ class TestAnalyze:
         assert printed == json.loads(before["summary.json"].decode())
         for n in names:
             assert (out / n).read_bytes() == before[n], n
+
+    def test_damaged_cache_is_rebuilt(self, workspace, tmp_path):
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(workspace["features"]), "--out", str(out)]) == 0
+        cold = (out / "profile.csv").read_bytes()
+        (cache,) = out.glob("graph_*.csv")
+        raw = cache.read_bytes()
+        cache.write_bytes(raw[: len(raw) // 2])
+        (out / "profile.csv").unlink()
+        assert cli.main(["analyze", str(workspace["features"]), "--out", str(out)]) == 0
+        assert (out / "profile.csv").read_bytes() == cold
+        assert cache.read_bytes() == raw
+        assert [p.name for p in out.glob("graph_*")] == [cache.name]
+
+    def test_id_with_comma_exits_1(self, tmp_path, capsys):
+        feat = write_fbin(tmp_path / "bad.fbin", ["x", "a,b", "y"], np.eye(3))
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(feat), "--out", str(out)]) == 1
+        assert "'a,b'" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_two_fragment_collection(self, tmp_path, capsys):
         feat = tmp_path / "tiny.csv"
@@ -283,6 +303,16 @@ class TestRank:
         assert len(items) == 40
         assert items[:4] == selected
 
+    def test_query_id_with_comma_exits_1(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = [
+            "rank", "--mode", "hub", "--query-id", "q,1", "--out", str(out),
+            "--profiles", str(workspace["analysis"] / "profile.csv"),
+        ]
+        assert cli.main(args) == 1
+        assert "'q,1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_mode_requires_features(self, tmp_path, capsys):
         args = ["rank", "--mode", "hub-first", "--out", str(tmp_path / "r.csv")]
         assert cli.main(args) == 1
@@ -340,3 +370,14 @@ class TestEval:
         code = cli.main(["eval", "--run", str(tmp_path / "absent.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_1(workspace, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 18.6 GiB")
+
+    monkeypatch.setattr(selector, "build_problem", exhausted)
+    args = ["select", str(workspace["features"]), "--k", "5",
+            "--out", str(tmp_path / "solution.json")]
+    assert cli.main(args) == 1
+    assert "error: out of memory (Unable to allocate 18.6 GiB)" in capsys.readouterr().err

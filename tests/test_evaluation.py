@@ -251,6 +251,11 @@ class TestFiles:
         assert back[0].items == ["a", "b", "c"]
         assert back[1].items == ["c", "a"]
 
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("query_id,rank,fragment_id\nq1,1,a\n  \t\nq1,2,b\n")
+        assert load_run(path)[0].items == ["a", "b"]
+
     def test_run_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "run.csv"
         path.write_text("query_id,rank,item_id\nq1,1,a\nq1,3,b\n")
