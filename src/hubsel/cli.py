@@ -104,7 +104,7 @@ def _solve(m, args, affinity_name: str, init: str, linear=False, max_iterations=
     affinity = _AFFINITY_NAMES.get(affinity_name)
     if affinity is None:
         raise ValueError(f"unknown affinity mode '{affinity_name}'")
-    if affinity == "knn_sparse" and graph is None:
+    if affinity == "knn_sparse" and graph is None and not linear:
         graph = _build_graph(m, args)
     problem = selector.build_problem(
         profile.hubness, profile.lid, m,
@@ -162,13 +162,7 @@ def cmd_eval(args) -> int:
         if not args.gt:
             raise ValueError("kind 'map' requires --gt")
         gt = evaluation.load_ground_truth(args.gt)
-        per_query = {}
-        for r in runs:
-            if r.query_id not in gt:
-                raise ValueError(f"missing ground truth for query '{r.query_id}'")
-            per_query[r.query_id] = evaluation.average_precision_at_k(
-                r, gt[r.query_id], args.depth
-            )
+        per_query = evaluation.average_precisions(runs, gt, args.depth)
         report = {
             "K": args.depth,
             "per_query": per_query,

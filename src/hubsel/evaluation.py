@@ -7,7 +7,6 @@ over the top K items.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,11 @@ class Ranking:
 
     def __post_init__(self):
         table.check_id(self.query_id, "query id")
-        if len(set(self.items)) != len(self.items):
-            seen = set()
-            for item in self.items:
-                if item in seen:
-                    raise ValueError(f"duplicate item '{item}' in ranking '{self.query_id}'")
-                seen.add(item)
+        seen = set()
+        for item in self.items:
+            if item in seen:
+                raise ValueError(f"duplicate item '{item}' in ranking '{self.query_id}'")
+            seen.add(item)
 
 
 def average_precision_at_k(ranking: Ranking, relevant, depth: int) -> float:
@@ -53,22 +51,31 @@ def average_precision_at_k(ranking: Ranking, relevant, depth: int) -> float:
     return total / min(len(rel), depth)
 
 
-def map_at_k(rankings: list[Ranking], ground_truth: dict, depth: int) -> float:
-    """Mean of AP@depth over all rankings.
+def average_precisions(rankings: list[Ranking], ground_truth: dict, depth: int) -> dict:
+    """AP@depth of every ranking, keyed by its query id, in ranking order.
 
     Raises
     ------
     ValueError
-        If a ranking's query has no ground-truth entry.
+        If a ranking's query has no ground-truth entry, or two rankings
+        share a query id.
     """
-    if not rankings:
-        raise ValueError("map needs at least one ranking")
-    total = 0.0
+    per_query: dict[str, float] = {}
     for r in rankings:
         if r.query_id not in ground_truth:
             raise ValueError(f"missing ground truth for query '{r.query_id}'")
-        total += average_precision_at_k(r, ground_truth[r.query_id], depth)
-    return total / len(rankings)
+        if r.query_id in per_query:
+            raise ValueError(f"more than one ranking for query '{r.query_id}'")
+        per_query[r.query_id] = average_precision_at_k(r, ground_truth[r.query_id], depth)
+    return per_query
+
+
+def map_at_k(rankings: list[Ranking], ground_truth: dict, depth: int) -> float:
+    """Mean of :func:`average_precisions` over all rankings."""
+    if not rankings:
+        raise ValueError("map needs at least one ranking")
+    per_query = average_precisions(rankings, ground_truth, depth)
+    return sum(per_query.values()) / len(per_query)
 
 
 def mean_subjective_at_k(ranking: Ranking, scores: dict, depth: int) -> float:
@@ -191,6 +198,4 @@ def load_run(path) -> list[Ranking]:
 
 
 def save_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    table.write_json(path, report)

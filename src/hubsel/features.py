@@ -68,24 +68,20 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _infer_format(path) -> str:
+def _is_csv(path) -> bool:
     suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".fbin":
-        return "fbin"
-    raise ValueError(f"cannot infer feature format from '{path}', pass fmt explicitly")
+    if suffix not in (".csv", ".fbin"):
+        raise ValueError(f"cannot infer feature format from '{path}', expected .csv or .fbin")
+    return suffix == ".csv"
 
 
-def load_features(path, fmt: str | None = None) -> FeatureMatrix:
+def load_features(path) -> FeatureMatrix:
     """Load a feature matrix from ``path``.
 
     Parameters
     ----------
     path : str or Path
-        File to read.
-    fmt : {'csv', 'fbin'}, optional
-        Storage format. Inferred from the file suffix when omitted.
+        File to read; the suffix ``.csv`` or ``.fbin`` names the format.
 
     Returns
     -------
@@ -99,12 +95,9 @@ def load_features(path, fmt: str | None = None) -> FeatureMatrix:
     OSError
         If the file cannot be read.
     """
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
+    if _is_csv(path):
         return _load_csv(path)
-    if fmt == "fbin":
-        return _load_fbin(path)
-    raise ValueError(f"unknown feature format '{fmt}'")
+    return _load_fbin(path)
 
 
 def _load_csv(path) -> FeatureMatrix:
@@ -187,13 +180,12 @@ def _load_fbin(path) -> FeatureMatrix:
     return FeatureMatrix(ids=ids, values=values)
 
 
-def save_features(m: FeatureMatrix, path, fmt: str | None = None) -> None:
+def save_features(m: FeatureMatrix, path) -> None:
     """Write ``m`` to ``path`` in CSV or fbin format (inferred from suffix)."""
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
+    if _is_csv(path):
         rows = ([ident, *map(repr, row)] for ident, row in zip(m.ids, m.values.tolist()))
         table.write_rows(path, rows)
-    elif fmt == "fbin":
+    else:
         for ident in m.ids:
             if len(ident.encode("utf-8")) > 0xFFFF:
                 raise ValueError(f"id too long for fbin: '{ident[:32]}...'")
@@ -205,8 +197,6 @@ def save_features(m: FeatureMatrix, path, fmt: str | None = None) -> None:
                 raw = ident.encode("utf-8")
                 fh.write(struct.pack("<H", len(raw)))
                 fh.write(raw)
-    else:
-        raise ValueError(f"unknown feature format '{fmt}'")
 
 
 def l2_normalize(m: FeatureMatrix) -> FeatureMatrix:

@@ -12,11 +12,12 @@ mass alpha from the fragment with the smallest reward (donor) to the one
 with the largest reward (receiver), where the reward vector is the exact
 gradient of f. The loop stops when no pair improves by more than the
 tolerance; the fractional result is rounded to the k largest entries.
+A linear problem (k = 1 allowed) is one whose A is zero; its pair
+divisor k (k - 1) is taken as at least 1.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,19 +38,17 @@ class SelectionProblem:
         Hubness term, min-max normalized to [0, 1].
     d_risk : ndarray (n,)
         Risk term, min-max normalized to [0, 1].
-    a : ndarray or scipy sparse matrix, (n, n)
-        Symmetric non-negative pairwise distances, zero diagonal.
+    a : ndarray or scipy CSR matrix, (n, n)
+        Symmetric non-negative pairwise distances, zero diagonal; all
+        zero for a linear problem.
     k : int
-        Budget, 2 <= k <= n (k = 1 only with ``linear``).
-    linear : bool
-        Drop the quadratic diversity term (fallback for k = 1).
+        Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
 
     h: np.ndarray
     d_risk: np.ndarray
     a: object
     k: int
-    linear: bool = False
 
     @property
     def n(self) -> int:
@@ -123,7 +122,8 @@ def build_problem(
     normalized LID vector computed over non-degenerate estimates, with
     degenerate entries mapped to 1 (maximal risk). In ``dense`` mode A is
     the full pairwise distance matrix; in ``knn_sparse`` mode only graph
-    edges are kept and A is symmetrized by the elementwise maximum.
+    edges are kept and A is symmetrized by the elementwise maximum. With
+    ``linear`` A is an all-zero CSR matrix and no distance is computed.
 
     Parameters
     ----------
@@ -134,11 +134,13 @@ def build_problem(
     k : int
         Budget. Requires 2 <= k <= n, or 1 <= k <= n with ``linear``.
     mode : {'dense', 'knn_sparse'}
-    graph : NeighborGraph, required for ``knn_sparse``
+    graph : NeighborGraph, required for ``knn_sparse`` unless ``linear``
     linear : bool
-        Drop the quadratic term (k = 1 fallback).
+        Drop the quadratic term, A = 0 (allows k = 1).
     """
     _check_metric(metric)
+    if mode not in ("dense", "knn_sparse"):
+        raise ValueError(f"unknown affinity mode '{mode}'")
     n = m.n
     if len(hub.scores) != n or len(lid.lids) != n:
         raise ValueError(
@@ -157,12 +159,14 @@ def build_problem(
     else:
         warnings.warn("all lid estimates degenerate, risk vector is constant 1")
 
-    if mode == "dense":
+    if linear:
+        a = sparse.csr_matrix((n, n), dtype=np.float64)
+    elif mode == "dense":
         if metric == "cosine":
             check_cosine_rows(m)
         a = distance_matrix(m.values, m.values, metric)
         np.fill_diagonal(a, 0.0)
-    elif mode == "knn_sparse":
+    else:
         if graph is None:
             raise ValueError("knn_sparse mode requires a neighbor graph")
         if graph.n != n:
@@ -173,9 +177,7 @@ def build_problem(
             (graph.distances.ravel(), (rows, graph.indices.ravel())), shape=(n, n)
         ).tocsr()
         a = mat.maximum(mat.T).tocsr()
-    else:
-        raise ValueError(f"unknown affinity mode '{mode}'")
-    return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k, linear=linear)
+    return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
 
 
 def _as_vector(y) -> np.ndarray:
@@ -184,52 +186,60 @@ def _as_vector(y) -> np.ndarray:
     return np.asarray(y, dtype=np.float64)
 
 
-def _elem(a, i: int, j: int) -> float:
-    return float(a[i, j])
-
-
 def _row(a, i: int) -> np.ndarray:
+    """Row i of A as a dense vector; the one place that tells dense from CSR."""
     if sparse.issparse(a):
-        return a.getrow(i).toarray().ravel()
+        row = np.zeros(a.shape[1])
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        row[a.indices[lo:hi]] = a.data[lo:hi]
+        return row
     return a[i]
+
+
+def _pair_divisor(k: int) -> int:
+    """k (k - 1), or 1 at k = 1 where A = 0 and the pair term vanishes."""
+    return max(k * (k - 1), 1)
+
+
+def _objective_at(p: SelectionProblem, v: np.ndarray, av: np.ndarray) -> float:
+    return (float(v @ p.h) - float(v @ p.d_risk)) / p.k + float(v @ av) / _pair_divisor(p.k)
+
+
+def _rewards_at(p: SelectionProblem, av: np.ndarray) -> np.ndarray:
+    return (p.h - p.d_risk) / p.k + 2.0 * av / _pair_divisor(p.k)
 
 
 def objective(p: SelectionProblem, y) -> float:
     """Objective f(y). No budget check, so perturbed y may be evaluated."""
     v = _as_vector(y)
-    val = (float(v @ p.h) - float(v @ p.d_risk)) / p.k
-    if not p.linear:
-        val += float(v @ (p.a @ v)) / (p.k * (p.k - 1))
-    return float(val)
+    return _objective_at(p, v, p.a @ v)
 
 
 def rewards(p: SelectionProblem, y) -> np.ndarray:
     """Gradient of the objective: r = H/k - D/k + 2Ay / (k (k - 1))."""
     v = _as_vector(y)
-    r = (p.h - p.d_risk) / p.k
-    if not p.linear:
-        r = r + 2.0 * (p.a @ v) / (p.k * (p.k - 1))
-    return np.asarray(r, dtype=np.float64)
+    return _rewards_at(p, p.a @ v)
 
 
 def reward(p: SelectionProblem, y, i: int) -> float:
     return float(rewards(p, y)[i])
 
 
+def _first_k(p: SelectionProblem, key: np.ndarray) -> IndicatorVector:
+    """Indicator of the k smallest ``key`` entries, ties to the smaller index."""
+    y = np.zeros(p.n, dtype=np.float64)
+    y[np.argsort(key, kind="stable")[: p.k]] = 1.0
+    return IndicatorVector(y=y, budget=p.k)
+
+
 def init_hub_first(p: SelectionProblem) -> IndicatorVector:
     """Indicator of the k largest H entries, ties to the smaller index."""
-    order = np.argsort(-p.h, kind="stable")[: p.k]
-    y = np.zeros(p.n, dtype=np.float64)
-    y[order] = 1.0
-    return IndicatorVector(y=y, budget=p.k)
+    return _first_k(p, -p.h)
 
 
 def init_lid_first(p: SelectionProblem) -> IndicatorVector:
     """Indicator of the k smallest D entries, ties to the smaller index."""
-    order = np.argsort(p.d_risk, kind="stable")[: p.k]
-    y = np.zeros(p.n, dtype=np.float64)
-    y[order] = 1.0
-    return IndicatorVector(y=y, budget=p.k)
+    return _first_k(p, p.d_risk)
 
 
 def init_uniform(p: SelectionProblem) -> IndicatorVector:
@@ -289,19 +299,11 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     n = p.n
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
 
-    start = _initial_vector(p, cfg)
-    y = start.y.astype(np.float64).copy()
-    denom = k * (k - 1) if not p.linear else 1.0
-
-    lin = (p.h - p.d_risk) / k
-    if p.linear:
-        ay = None
-        r = lin.copy()
-        f = float(y @ p.h - y @ p.d_risk) / k
-    else:
-        ay = np.asarray(p.a @ y, dtype=np.float64)
-        r = lin + 2.0 * ay / denom
-        f = float(y @ p.h - y @ p.d_risk) / k + float(y @ ay) / denom
+    y = _initial_vector(p, cfg).y  # a fresh float64 array, updated in place
+    denom = _pair_divisor(k)
+    ay = p.a @ y
+    r = _rewards_at(p, ay)
+    f = _objective_at(p, y, ay)
 
     objs = [f]
     updates: list[tuple] = []
@@ -321,33 +323,27 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         if eta <= tol:
             converged = True
             break
-        box = min(float(y[j]), 1.0 - float(y[i]))
-        if p.linear:
-            sigma = 0.0
-        else:
-            sigma = _elem(p.a, i, i) + _elem(p.a, j, j) - 2.0 * _elem(p.a, i, j)
-        if p.linear or sigma >= 0.0:
+        cap_j, cap_i = float(y[j]), 1.0 - float(y[i])
+        box = min(cap_j, cap_i)
+        row_i, row_j = _row(p.a, i), _row(p.a, j)
+        sigma = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
+        if sigma >= 0.0:
             alpha = box
         else:
             span = denom * eta / (-sigma)
             step = span / 2.0 if cfg.step_rule == "derived" else span
             alpha = min(box, step)
-        gain = eta * alpha + (0.0 if p.linear else sigma * alpha * alpha / denom)
+        gain = eta * alpha + sigma * alpha * alpha / denom
         if gain <= 0.0 and alpha < box:
             # the step lands back on its own level set; no progress is
             # possible along this direction, stop rather than cycle
             break
 
         # snap to the box exactly so the budget cannot drift
-        cap_j = float(y[j])
-        cap_i = 1.0 - float(y[i])
         y[j] = 0.0 if alpha >= cap_j else y[j] - alpha
         y[i] = 1.0 if alpha >= cap_i else y[i] + alpha
 
-        if not p.linear:
-            rowdiff = _row(p.a, i) - _row(p.a, j)
-            ay += alpha * rowdiff
-            r += (2.0 * alpha / denom) * rowdiff
+        r += (2.0 * alpha / denom) * (row_i - row_j)
         f += gain
         objs.append(f)
         updates.append((eta, j, i, alpha))
@@ -385,17 +381,10 @@ def kkt_residual(p: SelectionProblem, y, tol: float = 1e-9) -> float:
     if not below.any() or not above.any():
         return 0.0
     lam = 0.5 * (float(r[below].max()) + float(r[above].min()))
-    at_zero = v <= tol
-    at_one = v >= 1.0 - tol
-    interior = ~at_zero & ~at_one
-    res = 0.0
-    if at_zero.any():
-        res = max(res, float((r[at_zero] - lam).max()))
-    if at_one.any():
-        res = max(res, float((lam - r[at_one]).max()))
-    if interior.any():
-        res = max(res, float(np.abs(r[interior] - lam).max()))
-    return max(0.0, res)
+    gap = r - lam
+    # entries at 0 (not above) violate by gap, at 1 (not below) by -gap
+    viol = np.where(above, np.where(below, np.abs(gap), -gap), gap)
+    return max(0.0, float(viol.max()))
 
 
 def round_selection(y, p: SelectionProblem) -> list[int]:
@@ -435,9 +424,7 @@ def save_solution(
         "selected": [ids[i] for i in selected],
         "y": [float(v) for v in y.y],
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    table.write_json(path, payload)
 
 
 TRACE_HEADER = "iteration,objective,eta,donor,receiver,alpha"

@@ -249,12 +249,12 @@ def save_profile_csv(profile: StatProfile, path) -> None:
     table.write_rows(path, rows, header=PROFILE_HEADER)
 
 
-def load_profile_csv(path, summary_path=None) -> StatProfile:
+def load_profile_csv(path) -> StatProfile:
     """Reload a profile written by :func:`save_profile_csv`.
 
     The CSV carries no parameter metadata; k, n_nbr, and m_nbr are
-    restored from the sibling ``summary.json`` when present (or from
-    ``summary_path``), otherwise left at 0.
+    restored from the sibling ``summary.json`` when present, otherwise
+    left at 0.
     """
     ids: list[str] = []
     scores, cats, lids, degs, divs = [], [], [], [], []
@@ -268,12 +268,9 @@ def load_profile_csv(path, summary_path=None) -> StatProfile:
     if not ids:
         raise ValueError(f"{path}: empty profile file")
     k = n_nbr = m_nbr = 0
-    if summary_path is None:
-        candidate = Path(path).parent / "summary.json"
-        summary_path = candidate if candidate.exists() else None
-    if summary_path is not None:
-        with open(summary_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+    summary_path = Path(path).parent / "summary.json"
+    if summary_path.exists():
+        meta = json.loads(summary_path.read_text(encoding="utf-8"))
         k = int(meta.get("k", 0))
         n_nbr = int(meta.get("n_nbr", 0))
         m_nbr = int(meta.get("m_nbr", 0))
@@ -294,9 +291,7 @@ def load_profile_csv(path, summary_path=None) -> StatProfile:
 
 
 def save_summary_json(profile: StatProfile, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(summarize(profile), fh, indent=2)
-        fh.write("\n")
+    table.write_json(path, summarize(profile))
 
 
 def save_scatter_csv(profile: StatProfile, path) -> None:

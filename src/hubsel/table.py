@@ -1,12 +1,15 @@
-"""The CSV dialect shared by every hubsel table.
+"""The file dialects shared by every hubsel table and JSON report.
 
 Tables are UTF-8 text with one row per line and fields separated by
 ``,``. Nothing is quoted, so an id must never contain ``,``, ``\\r`` or
 ``\\n``; :func:`check_id` holds that rule. Readers skip blank and
 whitespace-only lines, and skip line 1 when it equals the table's header.
+JSON files are UTF-8, indented by 2, with a trailing newline.
 """
 
 from __future__ import annotations
+
+import json
 
 
 def check_id(ident: str, what: str) -> None:
@@ -40,3 +43,9 @@ def write_rows(path, rows, header: str | None = None) -> None:
         if header is not None:
             fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")

@@ -201,6 +201,20 @@ class TestSelect:
         assert cli.main(args + ["--linear"]) == 0
         assert len(capsys.readouterr().out.split()) == 1
 
+    def test_linear_sparse_with_profiles_builds_no_graph(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("linear select built a knn graph")
+
+        monkeypatch.setattr(neighbors, "knn_graph", no_graph)
+        profiles = ["--profiles", str(workspace["analysis"] / "profile.csv")]
+        sparse_out, dense_out = tmp_path / "sparse.json", tmp_path / "dense.json"
+        args = ["select", str(workspace["features"]), "--k", "3", "--linear", *profiles]
+        assert cli.main(args + ["--mode", "knn-sparse", "--out", str(sparse_out)]) == 0
+        assert cli.main(args + ["--out", str(dense_out)]) == 0
+        assert sparse_out.read_bytes() == dense_out.read_bytes()  # A = 0 either way
+
     def test_sparse_affinity(self, workspace, tmp_path, capsys):
         out = tmp_path / "solution.json"
         args = [

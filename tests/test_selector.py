@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from hubsel import selector
 from hubsel.features import FeatureMatrix
 from hubsel.neighbors import knn_graph, pairwise_distance
 from hubsel.selector import (
@@ -113,13 +115,25 @@ class TestBuildProblem:
         m = random_matrix(np.random.default_rng(7), 4, 3)
         hub, lid = hub_lid_profiles([1, 2, 3, 4], [1, 2, 3, 4])
         p = build_problem(hub, lid, m, "euclidean", 1, linear=True)
-        assert p.linear and p.k == 1
+        assert p.k == 1 and p.a.nnz == 0
+
+    def test_linear_computes_no_distance(self, monkeypatch):
+        def no_distances(*args, **kwargs):
+            raise AssertionError("linear problem computed distances")
+
+        monkeypatch.setattr(selector, "distance_matrix", no_distances)
+        m = random_matrix(np.random.default_rng(7), 6, 3)
+        hub, lid = hub_lid_profiles([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
+        for mode in ("dense", "knn_sparse"):  # knn_sparse without a graph
+            p = build_problem(hub, lid, m, "cosine", 2, mode=mode, linear=True)
+            assert sparse.issparse(p.a) and p.a.shape == (6, 6) and p.a.nnz == 0
 
     def test_unknown_mode(self):
         m = random_matrix(np.random.default_rng(8), 4, 3)
         hub, lid = hub_lid_profiles([1, 2, 3, 4], [1, 2, 3, 4])
-        with pytest.raises(ValueError, match="mode"):
-            build_problem(hub, lid, m, "euclidean", 2, mode="banded")
+        for linear in (False, True):
+            with pytest.raises(ValueError, match="mode"):
+                build_problem(hub, lid, m, "euclidean", 2, mode="banded", linear=linear)
 
 
 class TestObjectiveAndReward:
@@ -288,6 +302,30 @@ class TestSolve:
         y, trace = solve(p, SolverConfig(init="uniform"))
         assert trace.objective_per_iteration[-1] == pytest.approx(objective(p, y), abs=1e-9)
 
+    @pytest.mark.parametrize("step_rule", ["derived", "paper"])
+    @pytest.mark.parametrize("init", ["hub_first", "lid_first", "uniform"])
+    def test_csr_and_dense_affinity_agree(self, step_rule, init):
+        # dyadic entries and a dyadic uniform start k / n make A @ y exact in
+        # any summation order, so the two storage formats agree bit for bit
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            n = int(rng.choice([8, 16]))
+            a = rng.integers(0, 8, (n, n)) / 8.0
+            a = np.triu(a * (rng.uniform(size=(n, n)) < 0.4), 1)
+            a = a + a.T
+            a[int(rng.integers(n))] = 0.0
+            a = np.minimum(a, a.T)  # still symmetric, with an empty CSR row
+            k = int(rng.choice([2, 4]))
+            h, d = rng.uniform(size=n), rng.uniform(size=n)
+            dense = SelectionProblem(h=h, d_risk=d, a=a, k=k)
+            csr = SelectionProblem(h=h, d_risk=d, a=sparse.csr_matrix(a), k=k)
+            cfg = SolverConfig(init=init, step_rule=step_rule)
+            (y1, t1), (y2, t2) = solve(dense, cfg), solve(csr, cfg)
+            assert np.array_equal(y1.y, y2.y)
+            assert t1.updates == t2.updates
+            assert t1.objective_per_iteration == t2.objective_per_iteration
+            assert objective(dense, y1) == pytest.approx(objective(csr, y2), abs=1e-12)
+
     def test_scale_shift_keeps_selection(self):
         p = random_selection_problem(np.random.default_rng(22), n=8, k=3)
         y1, _ = solve(p, SolverConfig(init="uniform"))
@@ -319,6 +357,25 @@ class TestKkt:
         y = np.zeros(4)
         y[list(bset)] = 1.0
         assert kkt_residual(p, IndicatorVector(y=y, budget=2)) <= 1e-6
+
+    def test_matches_per_set_reference(self):
+        # reference: the residual taken separately over the entries at 0,
+        # at 1 and in between, with the same arithmetic
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            p = random_selection_problem(rng)
+            v = rng.choice([0.0, 1.0, 0.25, 0.5], size=p.n) * rng.uniform(0.9, 1.0, p.n)
+            v[rng.uniform(size=p.n) < 0.3] = 1.0
+            r = rewards(p, v)
+            below, above = v < 1.0 - 1e-9, v > 1e-9
+            want = 0.0
+            if below.any() and above.any():
+                lam = 0.5 * (float(r[below].max()) + float(r[above].min()))
+                for mask, viol in ((~above, r - lam), (~below, lam - r),
+                                   (above & below, np.abs(r - lam))):
+                    if mask.any():
+                        want = max(want, float(viol[mask].max()))
+            assert kkt_residual(p, v) == want
 
 
 class TestRounding:
