@@ -1,13 +1,22 @@
 """Exact k-nearest-neighbor graphs under cosine or Euclidean distance.
 
-Graphs are built by blocked brute-force scan, O(n^2 d) work, no
-approximation. Neighbor lists exclude the query itself, are sorted by
-ascending distance, and break ties by the smaller fragment index so that
-results are reproducible bit for bit across runs and thread counts.
+Graphs are built by a blocked brute-force scan, O(n^2 d) work, with no
+approximation in the result. Each block ranks all pairs with one matrix
+product, keeps a shortlist that provably holds every exact neighbor, and
+ranks the shortlist by distances recomputed exactly as
+:func:`distance_matrix` computes them. Neighbor lists exclude the query
+itself, are sorted by ascending distance, and break ties by the smaller
+fragment index, so results are reproducible bit for bit across runs,
+block splits and thread counts.
+
+Rows whose magnitudes would overflow, or underflow below the normal
+range, when squared are rescaled by a power of two first; inputs in the
+normal range are used as they are.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,10 +27,20 @@ from hubsel import table
 
 METRICS = ("cosine", "euclidean")
 
-# Rows per scan block, sized so one block of the distance matrix stays
-# around 64 MB. Fixed relative to thread count: the block split must not
-# change results when threads do.
+# Rows per scan block, sized so one block of approximate distances stays
+# around 64 MB. Results do not depend on the split.
 _BLOCK_ENTRIES = 8_000_000
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+# Largest row magnitudes in [_SMALLEST, _largest(d)] need no rescaling:
+# their squares are normal floats, and a d-term sum of squared
+# differences, each at most (2 max|x|)^2, stays finite.
+_SMALLEST = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _largest(d: int) -> float:
+    return math.sqrt(np.finfo(np.float64).max / (4 * d))
 
 
 def _check_metric(metric: str) -> None:
@@ -30,9 +49,8 @@ def _check_metric(metric: str) -> None:
 
 
 def check_cosine_rows(m) -> None:
-    """Reject matrices with zero-norm rows when the metric is cosine."""
-    norms = np.linalg.norm(m.values, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
+    """Reject matrices with zero-norm (all-zero) rows when the metric is cosine."""
+    bad = np.flatnonzero(~m.values.any(axis=1))
     if bad.size:
         i = int(bad[0])
         raise ValueError(
@@ -58,15 +76,75 @@ def pairwise_distance(x, y, metric: str) -> float:
     return max(0.0, 1.0 - float(np.dot(x, y)) / (nx * ny))
 
 
-def distance_matrix(x, y, metric: str) -> np.ndarray:
-    """All distances between the rows of ``x`` and ``y``.
+def _rescale_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` with each row whose largest magnitude is out of range scaled
+    by a power of two to a largest magnitude in [0.5, 1). Cosine distance
+    does not change under a positive scaling of either row."""
+    peak = np.abs(v).max(axis=1)
+    out = (peak < _SMALLEST) | (peak > _largest(v.shape[1]))
+    if not out.any():
+        return v
+    v = v.copy()
+    v[out] = np.ldexp(v[out], -np.frexp(peak[out])[1][:, None])
+    return v
 
-    Cosine distances that rounding pushed below 0 are clipped to 0.
-    """
+
+def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
+    """``(x, y, unscale)``: the rows scaled by powers of two so that every
+    square of a row's largest magnitude is normal and every sum of squares
+    stays finite, and the factor that maps Euclidean distances between the
+    scaled rows back. Rows already in range come back unchanged, so their
+    distances keep every bit."""
+    if metric == "cosine":
+        xs = _rescale_rows(x)
+        return xs, (xs if y is x else _rescale_rows(y)), 1.0
+    peak = max(float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
+    if _SMALLEST <= peak <= _largest(x.shape[1]):
+        return x, y, 1.0
+    e = math.frexp(peak)[1]
+    xs = np.ldexp(x, -e)
+    return xs, (xs if y is x else np.ldexp(y, -e)), math.ldexp(1.0, e)
+
+
+def _distances(x, y, metric: str) -> np.ndarray:
     D = cdist(x, y, metric=metric)
     if metric == "cosine":
         np.clip(D, 0.0, None, out=D)
     return D
+
+
+def distance_matrix(x, y, metric: str) -> np.ndarray:
+    """All distances between the rows of ``x`` and ``y``.
+
+    Cosine distances that rounding pushed below 0 are clipped to 0. Rows
+    whose squares would overflow or fall below the normal range are first
+    rescaled by a power of two (each row on its own for cosine, all rows
+    by one factor for euclidean), so finite inputs give finite distances.
+    """
+    x, y, unscale = _in_range(
+        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), metric
+    )
+    D = _distances(x, y, metric)
+    if unscale != 1.0:
+        D *= unscale
+    return D
+
+
+def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:
+    """Mean pairwise distance within each group of rows of ``x``.
+
+    ``groups`` is an (n, m) array of row indices, m >= 2. Each group's
+    distances are those :func:`distance_matrix` gives the group's rows,
+    and every pair counts once. Rows are brought into range once for the
+    whole of ``x`` rather than once per group.
+    """
+    x, _, unscale = _in_range(x, x, metric)
+    iu = np.triu_indices(groups.shape[1], k=1)
+    means = np.empty(len(groups), dtype=np.float64)
+    for i, rows in enumerate(groups):
+        sub = x[rows]
+        means[i] = float(_distances(sub, sub, metric)[iu].mean())
+    return means * unscale
 
 
 @dataclass
@@ -110,6 +188,19 @@ class NeighborGraph:
 def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGraph:
     """Build the exact kNN graph of a feature matrix.
 
+    Each block of query rows is ranked against all rows with one matrix
+    product: 1 - x.y on unit-norm rows (cosine), or the squared distance
+    expanded as |x|^2 + |y|^2 - 2 x.y (euclidean). A row's shortlist is
+    every j whose approximate value is at most the k-th smallest one plus
+    2 b_i, where b_i bounds the error of the approximation against the
+    exact distance (squared, for euclidean) in row i, with u the unit
+    roundoff and gamma_m = m u / (1 - m u):
+    b_i = gamma_{8d+32} (|x_i| + max_j |x_j|)^2 for euclidean and
+    gamma_{8d+32} for cosine. The shortlist therefore holds every exact
+    neighbor and every tie at the k-th distance; its distances are then
+    recomputed as :func:`distance_matrix` computes them and sorted by
+    (distance, index).
+
     Parameters
     ----------
     m : FeatureMatrix
@@ -128,12 +219,39 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
     _check_metric(metric)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    X = m.values
-    n = X.shape[0]
+    n, d = m.values.shape
     if n < 2:
         raise ValueError(f"need at least 2 fragments, got {n}")
     if metric == "cosine":
         check_cosine_rows(m)
+    X, _, unscale = _in_range(m.values, m.values, metric)
+
+    # Why the shortlist is exact. Let A_ij be the value the exact pass
+    # ranks row i by (the distance_matrix distance; its square for
+    # euclidean, an order-preserving map that keeps ties) and P_ij the
+    # product-based approximation, with |P_ij - A_ij| <= b_i for all j.
+    # The k smallest P in row i, p_(k) being the largest of them, have
+    # A <= p_(k) + b_i, so the exact k-th value A_(k) <= p_(k) + b_i; a
+    # j with A_ij <= A_(k) then has P_ij <= A_ij + b_i <= p_(k) + 2 b_i.
+    # With u the unit roundoff and gamma_m = m u / (1 - m u), the budget
+    # b_i = gamma_{8d+32}, times (|x_i| + max_j |x_j|)^2 for euclidean
+    # (which bounds every (|x_i| + |x_j|)^2 and so every squared
+    # distance), covers with room to spare: the product pass with its
+    # norms and additions (gamma_{3d+6} for cosine, gamma_{d+2} for
+    # euclidean); the cdist pass (gamma_{4d+6}; gamma_{d+4} on the
+    # squared value); underflow, at most d u against each sum, since
+    # after _in_range the largest square of every row is a normal float;
+    # and the few roundings of b_i and of the threshold themselves.
+    mu = (8 * d + 32) * _UNIT_ROUNDOFF
+    b = mu / (1.0 - mu)
+    if metric == "cosine":
+        Y = X / np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+        margin = np.full(n, 2.0 * b)
+    else:
+        Y = X
+        sq = np.einsum("ij,ij->i", X, X)
+        norms = np.sqrt(sq)
+        margin = 2.0 * b * (norms + norms.max()) ** 2
 
     k_eff = min(k, n - 1)
     indices = np.empty((n, k_eff), dtype=np.int64)
@@ -143,12 +261,22 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
 
     def scan(span):
         s, e = span
-        D = distance_matrix(X[s:e], X, metric)
-        # self-distance to +inf so the query drops out of its own list
-        D[np.arange(e - s), np.arange(s, e)] = np.inf
-        order = np.argsort(D, axis=1, kind="stable")[:, :k_eff]
-        indices[s:e] = order
-        distances[s:e] = np.take_along_axis(D, order, axis=1)
+        approx = Y[s:e] @ Y.T
+        if metric == "cosine":
+            np.subtract(1.0, approx, out=approx)
+        else:
+            approx *= -2.0
+            approx += sq
+            approx += sq[s:e, None]
+        # self to +inf so the query drops out of its own list
+        approx[np.arange(e - s), np.arange(s, e)] = np.inf
+        for i, row in zip(range(s, e), approx):
+            kth = np.partition(row, k_eff - 1)[k_eff - 1]
+            cand = np.flatnonzero(row <= kth + margin[i])
+            dist = _distances(X[i : i + 1], X[cand], metric)[0]
+            order = np.argsort(dist, kind="stable")[:k_eff]
+            indices[i] = cand[order]
+            distances[i] = dist[order]
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -156,6 +284,8 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
     else:
         for span in spans:
             scan(span)
+    if unscale != 1.0:
+        distances *= unscale
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

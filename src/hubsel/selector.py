@@ -348,8 +348,9 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         objs.append(f)
         updates.append((eta, j, i, alpha))
         drift = max(drift, abs(float(y.sum()) - k))
-        y_lo = min(y_lo, float(y.min()))
-        y_hi = max(y_hi, float(y.max()))
+        # only y_i and y_j moved, so the running extremes need only them
+        y_lo = min(y_lo, float(y[i]), float(y[j]))
+        y_hi = max(y_hi, float(y[i]), float(y[j]))
 
     result = IndicatorVector(y=y, budget=k)
     trace = SolverTrace(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from hubsel import table
-from hubsel.neighbors import NeighborGraph, distance_matrix
+from hubsel.neighbors import NeighborGraph, group_mean_distances
 
 # Cap for unstable LID estimates. Estimates at or above the cap (and the
 # all-equal-distance case, whose raw estimate is infinite) are stored as
@@ -157,17 +157,10 @@ def diversity(m, g: NeighborGraph, m_nbr: int = 30) -> DiversityProfile:
     """
     if m_nbr < 1:
         raise ValueError(f"m_nbr must be positive, got {m_nbr}")
-    X = m.values
     use = min(m_nbr, g.indices.shape[1])
-    n = g.n
-    values = np.zeros(n, dtype=np.float64)
     if use < 2:
-        return DiversityProfile(m_nbr=m_nbr, values=values)
-    iu = np.triu_indices(use, k=1)
-    for i in range(n):
-        sub = X[g.indices[i, :use]]
-        D = distance_matrix(sub, sub, g.metric)
-        values[i] = float(D[iu].mean())
+        return DiversityProfile(m_nbr=m_nbr, values=np.zeros(g.n, dtype=np.float64))
+    values = group_mean_distances(m.values, g.indices[:, :use], g.metric)
     return DiversityProfile(m_nbr=m_nbr, values=values)
 
 

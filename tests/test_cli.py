@@ -129,6 +129,29 @@ class TestAnalyze:
         assert summary["global_id"] is None
 
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_extreme_magnitudes_give_finite_outputs(self, tmp_path, scale):
+        m = random_matrix(np.random.default_rng(5), 30, 6)
+        m.values *= scale
+        feat = tmp_path / "extreme.csv"
+        features.save_features(m, feat)
+        for metric in ("cosine", "euclidean"):
+            out = tmp_path / metric
+            assert cli.main(
+                ["analyze", str(feat), "--out", str(out), "--n-lid", "10", "--metric", metric]
+            ) == 0
+            profile = stats.load_profile_csv(out / "profile.csv")
+            assert np.isfinite(profile.lid.lids).all() and not profile.lid.degenerate.any()
+            assert np.isfinite(profile.diversity.values).all()
+            assert (profile.diversity.values > 0).all()
+        graph = tmp_path / "graph.csv"
+        assert cli.main(
+            ["knn", str(feat), "--k", "5", "--metric", "euclidean", "--out", str(graph)]
+        ) == 0
+        g = neighbors.load_graph(graph, m.ids, "euclidean")
+        assert np.isfinite(g.distances).all() and (g.distances > 0).all()
+
+
 class TestSelect:
     def select_args(self, workspace, tmp_path, k, extra=()):
         return [

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hubsel import neighbors
 from hubsel.features import FeatureMatrix
 from hubsel.neighbors import (
     NeighborGraph,
+    check_cosine_rows,
+    distance_matrix,
     knn_graph,
     load_graph,
     pairwise_distance,
@@ -196,3 +201,121 @@ def test_no_excluded_fragment_is_closer():
         for j in range(m.n):
             if j != i and j not in included:
                 assert manual_distance(m.values[i], m.values[j], "euclidean") >= worst - 1e-12
+
+
+def _matrix(values):
+    return FeatureMatrix(ids=[f"f{i}" for i in range(len(values))], values=values)
+
+
+def assert_exact_graph(values, k, metric, threads=1):
+    """The graph equals a full stable sort of every distance_matrix row."""
+    D = distance_matrix(values, values, metric)
+    np.fill_diagonal(D, np.inf)
+    k_eff = min(k, len(values) - 1)
+    order = np.argsort(D, axis=1, kind="stable")[:, :k_eff]
+    g = knn_graph(_matrix(values), k, metric, threads=threads)
+    assert np.array_equal(g.indices, order)
+    assert g.distances.tobytes() == np.take_along_axis(D, order, axis=1).tobytes()
+    return g
+
+
+class TestExactKernel:
+    """The shortlist-and-rerank scan against a full sort, bit for bit."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_duplicates_and_lattice_ties(self, metric):
+        # every distance on a small integer lattice repeats many times, and
+        # duplicated rows tie at distance 0, so the k-th distance is a tie
+        grid = np.array([(x, y) for x in range(1, 8) for y in range(1, 8)], dtype=float)
+        values = np.vstack([grid, grid[::5], grid[:3]])
+        for k in (1, 4, 8, 13):
+            assert_exact_graph(values, k, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_large_common_offset(self, metric):
+        # |x|^2 + |y|^2 - 2 x.y cancels most digits here. The lattice rows
+        # differ by exact multiples of 1/8, so their distances tie exactly
+        # where the cancelled values do not.
+        rng = np.random.default_rng(30)
+        assert_exact_graph(rng.standard_normal((120, 6)) + 1e4, 9, metric)
+        assert_exact_graph(rng.integers(-3, 4, (120, 4)) / 8 + (1e4 + 0.1), 9, metric)
+
+    def test_near_parallel_cosine_rows(self):
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal(16)
+        values = base + 1e-9 * rng.standard_normal((80, 16))
+        assert_exact_graph(values, 7, "cosine")
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_float32_cast_values(self, metric):
+        rng = np.random.default_rng(32)
+        values = rng.normal(1.0, 1.0, (300, 32)).astype(np.float32).astype(np.float64)
+        assert_exact_graph(values, 21, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_full_width_and_two_rows(self, metric):
+        values = np.random.default_rng(33).standard_normal((25, 3))
+        assert_exact_graph(values, 24, metric)
+        assert_exact_graph(values, 100, metric)
+        assert_exact_graph(values[:2], 1, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_small_blocks_any_thread_count(self, monkeypatch, metric):
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 700)  # 7 rows per block
+        values = np.random.default_rng(34).integers(-3, 4, (100, 3)).astype(float)
+        values[~values.any(axis=1)] = 1.0
+        g1 = assert_exact_graph(values, 10, metric, threads=1)
+        g3 = assert_exact_graph(values, 10, metric, threads=3)
+        assert g1.distances.tobytes() == g3.distances.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                    min_size=n, max_size=n,
+                ),
+                st.integers(1, n),
+                st.sampled_from(["cosine", "euclidean"]),
+            )
+        )
+    )
+    def test_property_small_integer_matrices(self, case):
+        rows, k, metric = case
+        values = np.array(rows, dtype=float)
+        if metric == "cosine":
+            values[~values.any(axis=1)] = 1.0  # cosine needs non-zero rows
+        assert_exact_graph(values, k, metric)
+
+
+class TestExtremeMagnitudes:
+    """Finite rows whose squares overflow or leave the normal range."""
+
+    @pytest.mark.parametrize("exponent", [700, -1000])
+    def test_power_of_two_scale_is_exact(self, exponent):
+        values = np.random.default_rng(35).standard_normal((40, 5))
+        big = np.ldexp(values, exponent)
+        cos, cos_big = knn_graph(_matrix(values), 6), knn_graph(_matrix(big), 6)
+        assert np.array_equal(cos.indices, cos_big.indices)
+        assert cos.distances.tobytes() == cos_big.distances.tobytes()
+        euc, euc_big = (knn_graph(_matrix(v), 6, "euclidean") for v in (values, big))
+        assert np.array_equal(euc.indices, euc_big.indices)
+        assert np.array_equal(np.ldexp(euc.distances, exponent), euc_big.distances)
+        assert_exact_graph(big, 6, "cosine")
+        assert_exact_graph(big, 6, "euclidean")
+
+    def test_distance_matrix_finite_near_overflow(self):
+        values = np.random.default_rng(36).normal(1.0, 1.0, (10, 4)) * 1e200
+        for metric in ("cosine", "euclidean"):
+            assert np.isfinite(distance_matrix(values, values, metric)).all()
+        d = distance_matrix(values[:1], values[1:2], "euclidean")[0, 0]
+        assert d == pytest.approx(float(np.linalg.norm(values[0] / 1e200 - values[1] / 1e200)) * 1e200)
+
+    def test_tiny_row_among_unit_rows_under_cosine(self):
+        values = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [-1.0, 3.0]])
+        mixed = values.copy()
+        mixed[0] = np.ldexp(values[0], -1060)  # subnormal, yet not zero
+        check_cosine_rows(_matrix(mixed))
+        D = distance_matrix(mixed, mixed, "cosine")
+        assert D.tobytes() == distance_matrix(values, values, "cosine").tobytes()

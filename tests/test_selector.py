@@ -326,6 +326,28 @@ class TestSolve:
             assert t1.objective_per_iteration == t2.objective_per_iteration
             assert objective(dense, y1) == pytest.approx(objective(csr, y2), abs=1e-12)
 
+    @pytest.mark.parametrize("init", ["hub_first", "lid_first", "uniform"])
+    def test_trace_extremes_match_full_scan_replay(self, init):
+        rng = np.random.default_rng(29)
+        for trial in range(30):
+            p = random_selection_problem(rng)
+            cfg = SolverConfig(
+                init=init,
+                step_rule=("derived", "paper")[trial % 2],
+                max_iterations=(1, 2, None)[trial % 3],
+            )
+            y, trace = solve(p, cfg)
+            z = selector._initial_vector(p, cfg).y
+            lo, hi, drift = float(z.min()), float(z.max()), abs(float(z.sum()) - p.k)
+            for _, j, i, alpha in trace.updates:
+                cap_j, cap_i = float(z[j]), 1.0 - float(z[i])
+                z[j] = 0.0 if alpha >= cap_j else z[j] - alpha
+                z[i] = 1.0 if alpha >= cap_i else z[i] + alpha
+                lo, hi = min(lo, float(z.min())), max(hi, float(z.max()))
+                drift = max(drift, abs(float(z.sum()) - p.k))
+            assert np.array_equal(z, y.y)
+            assert (trace.y_min, trace.y_max, trace.max_budget_drift) == (lo, hi, drift)
+
     def test_scale_shift_keeps_selection(self):
         p = random_selection_problem(np.random.default_rng(22), n=8, k=3)
         y1, _ = solve(p, SolverConfig(init="uniform"))
