@@ -44,15 +44,16 @@ def _cached_graph(m, args, out_dir: Path) -> neighbors.NeighborGraph:
     reads back; a missing or damaged cache is (re)built and replaced."""
     digest = hashlib.sha256(Path(args.features).read_bytes()).hexdigest()[:12]
     kmax = min(_checked_graph_k(args), m.n - 1)
-    cache = out_dir / f"graph_{digest}_{args.metric}_k{kmax}.csv"
+    cache = out_dir / f"graph_{digest}_{args.metric}_k{kmax}.npz"
     if cache.exists():
         try:
             return neighbors.load_graph(cache, m.ids, args.metric)
         except ValueError:
             pass
     g = _build_graph(m, args)
-    # written aside, then renamed, so a killed run leaves no partial cache
-    partial = cache.with_name(cache.name + ".partial")
+    # written aside, then renamed, so a killed run leaves no partial cache;
+    # the name keeps the suffix that selects the format
+    partial = cache.with_suffix(".partial.npz")
     neighbors.save_graph(g, m.ids, partial)
     os.replace(partial, cache)
     return g

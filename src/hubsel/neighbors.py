@@ -17,11 +17,12 @@ normal range are used as they are.
 from __future__ import annotations
 
 import math
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from hubsel import table
 
@@ -63,17 +64,14 @@ def pairwise_distance(x, y, metric: str) -> float:
 
     Cosine distance is 1 - cos(x, y), in [0, 2]; it is undefined for
     zero-norm inputs. Euclidean is the usual L2 norm of the difference.
+    The value is the one :func:`distance_matrix` gives the two rows.
     """
     _check_metric(metric)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if metric == "euclidean":
-        return float(np.linalg.norm(x - y))
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    if metric == "cosine" and not (x.any() and y.any()):
         raise ValueError("cosine distance undefined for zero-norm vector")
-    return max(0.0, 1.0 - float(np.dot(x, y)) / (nx * ny))
+    return float(distance_matrix(x, y, metric)[0, 0])
 
 
 def _rescale_rows(v: np.ndarray) -> np.ndarray:
@@ -107,6 +105,10 @@ def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
 
 
 def _distances(x, y, metric: str) -> np.ndarray:
+    # imported here: scipy.spatial costs ~0.5 s of start-up, which commands
+    # that compute no distance (eval, baseline rank, fuse, --help) skip
+    from scipy.spatial.distance import cdist
+
     D = cdist(x, y, metric=metric)
     if metric == "cosine":
         np.clip(D, 0.0, None, out=D)
@@ -291,13 +293,31 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
 
 GRAPH_HEADER = "query_id,rank,neighbor_id,distance"
 
+_NPZ_MEMBERS = ("ids", "indices", "distances")
+
+
+def _is_npz(path) -> bool:
+    return Path(path).suffix.lower() == ".npz"
+
 
 def save_graph(g: NeighborGraph, ids: list[str], path) -> None:
-    """Write a graph as CSV rows ``query_id,rank,neighbor_id,distance``.
+    """Write a graph to ``path``; the suffix names the format.
 
-    Ranks start at 1. Distances are written with full round-trip
-    precision so a reloaded graph is bit-identical.
+    ``.npz``: an uncompressed archive of the arrays ``ids`` (unicode),
+    ``indices`` (int64) and ``distances`` (float64), both (n, k), written
+    with fixed member timestamps so equal graphs give equal bytes. Any
+    other suffix: CSV rows ``query_id,rank,neighbor_id,distance`` with
+    ranks from 1 and distances at full round-trip precision. Either way
+    a reloaded graph is bit-identical.
     """
+    if _is_npz(path):
+        # np.savez stamps each member with the current time
+        arrays = (np.array(ids, dtype=str), g.indices, g.distances)
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, arr in zip(_NPZ_MEMBERS, arrays):
+                with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as f:
+                    np.lib.format.write_array(f, arr, allow_pickle=False)
+        return
     ranks = [str(r) for r in range(1, g.indices.shape[1] + 1)]
 
     def rows():
@@ -309,13 +329,18 @@ def save_graph(g: NeighborGraph, ids: list[str], path) -> None:
 
 
 def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
-    """Reload a graph written by :func:`save_graph`.
+    """Reload a graph written by :func:`save_graph`, in the format its
+    suffix names.
 
-    ``ids`` supplies the id-to-row mapping of the owning collection and
-    must cover every id in the file. The metric is not stored in the CSV
-    and must be passed by the caller.
+    ``ids`` supplies the id-to-row mapping of the owning collection: CSV
+    rows must name only these ids, and a ``.npz`` file must store exactly
+    them, in order. The metric is not stored and must be passed by the
+    caller. A file that does not hold a complete graph of ``ids`` raises
+    ``ValueError``.
     """
     _check_metric(metric)
+    if _is_npz(path):
+        return _load_npz(path, ids, metric)
     index = {ident: i for i, ident in enumerate(ids)}
     per_query: dict[int, list[tuple[int, int, float]]] = {}
     for lineno, (qid, rank_s, nid, dist_s) in table.read_rows(path, 4, GRAPH_HEADER):
@@ -341,3 +366,43 @@ def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
         indices[i] = [j for _, j, _ in rows]
         distances[i] = [d for _, _, d in rows]
     return NeighborGraph(k=k, metric=metric, indices=indices, distances=distances)
+
+
+# What zipfile and np.load raise on a damaged archive; OSError covers
+# seeks to offsets a damaged directory names.
+_ARCHIVE_DAMAGE = (
+    ValueError, zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, RuntimeError,
+    OSError,
+)
+
+
+def _load_npz(path, ids: list[str], metric: str) -> NeighborGraph:
+    with open(path, "rb") as fh:  # a file that cannot be opened is an I/O error
+        try:
+            z = np.load(fh, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            with z:
+                stored, indices, distances = (z[name] for name in _NPZ_MEMBERS)
+        except _ARCHIVE_DAMAGE as exc:
+            raise ValueError(f"{path}: not a readable graph archive ({exc!r})") from exc
+    n = len(ids)
+    if stored.dtype.kind != "U" or stored.tolist() != list(ids):
+        raise ValueError(f"{path}: stored ids differ from the collection's")
+    if indices.dtype != np.int64 or distances.dtype != np.float64:
+        raise ValueError(
+            f"{path}: dtypes {indices.dtype}, {distances.dtype}, expected int64, float64"
+        )
+    shape_ok = indices.ndim == 2 and indices.shape[0] == n and indices.shape[1] >= 1
+    if not shape_ok or distances.shape != indices.shape:
+        raise ValueError(
+            f"{path}: shapes {indices.shape}, {distances.shape}, expected ({n}, k), k >= 1"
+        )
+    if indices.min() < 0 or indices.max() >= n:
+        raise ValueError(f"{path}: neighbor index outside [0, {n})")
+    return NeighborGraph(
+        k=indices.shape[1],
+        metric=metric,
+        indices=np.ascontiguousarray(indices),
+        distances=np.ascontiguousarray(distances),
+    )

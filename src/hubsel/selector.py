@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from hubsel import table
 from hubsel.neighbors import NeighborGraph, _check_metric, check_cosine_rows, distance_matrix
@@ -138,6 +137,10 @@ def build_problem(
     linear : bool
         Drop the quadratic term, A = 0 (allows k = 1).
     """
+    # imported here: scipy.sparse costs ~0.2 s of start-up, which commands
+    # that build no problem (eval, baseline rank, fuse) skip
+    from scipy import sparse
+
     _check_metric(metric)
     if mode not in ("dense", "knn_sparse"):
         raise ValueError(f"unknown affinity mode '{mode}'")
@@ -188,12 +191,12 @@ def _as_vector(y) -> np.ndarray:
 
 def _row(a, i: int) -> np.ndarray:
     """Row i of A as a dense vector; the one place that tells dense from CSR."""
-    if sparse.issparse(a):
-        row = np.zeros(a.shape[1])
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        row[a.indices[lo:hi]] = a.data[lo:hi]
-        return row
-    return a[i]
+    if isinstance(a, np.ndarray):
+        return a[i]
+    row = np.zeros(a.shape[1])
+    lo, hi = a.indptr[i], a.indptr[i + 1]
+    row[a.indices[lo:hi]] = a.data[lo:hi]
+    return row
 
 
 def _pair_divisor(k: int) -> int:

@@ -1,6 +1,10 @@
 """End-to-end checks of the command line, driving ``cli.main`` directly."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +82,7 @@ class TestAnalyze:
         assert (out / "profile.csv").exists()
         assert (out / "summary.json").exists()
         assert (out / "scatter.csv").exists()
-        assert list(out.glob("graph_*.csv")), "graph cache file missing"
+        assert list(out.glob("graph_*.npz")), "graph cache file missing"
 
     def test_summary_contents(self, workspace, capsys):
         summary = json.loads((workspace["analysis"] / "summary.json").read_text())
@@ -103,11 +107,47 @@ class TestAnalyze:
         out = tmp_path / "analysis"
         assert cli.main(["analyze", str(workspace["features"]), "--out", str(out)]) == 0
         cold = (out / "profile.csv").read_bytes()
-        (cache,) = out.glob("graph_*.csv")
+        (cache,) = out.glob("graph_*.npz")
         raw = cache.read_bytes()
         cache.write_bytes(raw[: len(raw) // 2])
         (out / "profile.csv").unlink()
         assert cli.main(["analyze", str(workspace["features"]), "--out", str(out)]) == 0
+        assert (out / "profile.csv").read_bytes() == cold
+        assert cache.read_bytes() == raw
+        assert [p.name for p in out.glob("graph_*")] == [cache.name]
+
+    @pytest.mark.parametrize(
+        "damage", ["other ids", "pickled ids", "index out of range", "shape", "dtype"]
+    )
+    def test_unusable_cache_is_rebuilt(self, workspace, tmp_path, damage):
+        feat = workspace["features"]
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(feat), "--out", str(out)]) == 0
+        cold = (out / "profile.csv").read_bytes()
+        (cache,) = out.glob("graph_*.npz")
+        raw = cache.read_bytes()
+        with np.load(cache) as z:
+            arrays = dict(z)
+        if damage == "other ids":
+            m = workspace["matrix"]
+            other = features.FeatureMatrix(ids=[f"z{i}" for i in range(m.n)], values=m.values)
+            features.save_features(other, tmp_path / "other.csv")
+            assert cli.main(["analyze", str(tmp_path / "other.csv"),
+                             "--out", str(tmp_path / "other")]) == 0
+            (other_cache,) = (tmp_path / "other").glob("graph_*.npz")
+            cache.write_bytes(other_cache.read_bytes())
+        else:
+            if damage == "pickled ids":
+                arrays["ids"] = arrays["ids"].astype(object)
+            elif damage == "index out of range":
+                arrays["indices"][3, 1] = len(arrays["ids"])
+            elif damage == "shape":
+                arrays["distances"] = arrays["distances"][:, :-1]
+            else:
+                arrays["distances"] = arrays["distances"].astype(np.float32)
+            np.savez(cache, **arrays)
+        (out / "profile.csv").unlink()
+        assert cli.main(["analyze", str(feat), "--out", str(out)]) == 0
         assert (out / "profile.csv").read_bytes() == cold
         assert cache.read_bytes() == raw
         assert [p.name for p in out.glob("graph_*")] == [cache.name]
@@ -150,6 +190,16 @@ class TestAnalyze:
         ) == 0
         g = neighbors.load_graph(graph, m.ids, "euclidean")
         assert np.isfinite(g.distances).all() and (g.distances > 0).all()
+
+
+def test_import_loads_no_scipy():
+    """scipy costs ~0.5 s of start-up that commands computing no distance
+    and building no problem never need."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import hubsel.cli, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True
+    )
 
 
 class TestSelect:

@@ -47,6 +47,20 @@ class TestPairwiseDistance:
         with pytest.raises(ValueError, match="zero-norm"):
             pairwise_distance([0.0, 0.0], [1.0, 0.0], "cosine")
 
+    def test_extreme_magnitudes_stay_finite(self):
+        with np.errstate(all="raise"):
+            d = pairwise_distance([1e200, 0.0], [0.0, 1e200], "euclidean")
+            assert d == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+            assert pairwise_distance([1e200, 0.0], [0.0, 1e200], "cosine") == 1.0
+            assert pairwise_distance([1e-300, 0.0], [0.0, 1e-300], "cosine") == 1.0
+
+    def test_matches_distance_matrix(self):
+        rng = np.random.default_rng(1)
+        for metric in ("cosine", "euclidean"):
+            for _ in range(50):
+                x, y = rng.standard_normal((2, 6))
+                assert pairwise_distance(x, y, metric) == distance_matrix([x], [y], metric)[0, 0]
+
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="metric"):
             pairwise_distance([1.0], [1.0], "manhattan")
@@ -138,16 +152,95 @@ class TestKnnGraph:
 
 
 class TestGraphSerialization:
-    def test_round_trip_exact(self, tmp_path):
+    @pytest.mark.parametrize("suffix", [".csv", ".npz"])
+    def test_round_trip_exact(self, tmp_path, suffix):
         m = random_matrix(np.random.default_rng(14), 25, 6)
         g = knn_graph(m, 4, "cosine")
-        path = tmp_path / "g.csv"
+        path = tmp_path / f"g{suffix}"
         save_graph(g, m.ids, path)
         back = load_graph(path, m.ids, "cosine")
         assert back.k == g.k
         assert back.metric == "cosine"
+        assert back.indices.dtype == np.int64
         assert np.array_equal(back.indices, g.indices)
-        assert np.array_equal(back.distances, g.distances)
+        assert back.distances.tobytes() == g.distances.tobytes()
+
+    def test_npz_holds_three_plain_arrays(self, tmp_path):
+        m = random_matrix(np.random.default_rng(16), 6, 3)
+        g = knn_graph(m, 2, "euclidean")
+        path = tmp_path / "g.npz"
+        save_graph(g, m.ids, path)
+        with np.load(path, allow_pickle=False) as z:
+            assert sorted(z.files) == ["distances", "ids", "indices"]
+            assert z["ids"].tolist() == m.ids
+            assert z["indices"].dtype == np.int64 and z["distances"].dtype == np.float64
+        first = path.read_bytes()
+        save_graph(g, m.ids, path)
+        assert path.read_bytes() == first  # no timestamps in the archive
+
+    def test_npz_rejects_damage(self, tmp_path):
+        ids = ["a", "b", "c"]
+        good = {
+            "ids": np.array(ids),
+            "indices": np.array([[1], [0], [1]]),
+            "distances": np.array([[0.5], [0.5], [0.25]]),
+        }
+        np.savez(tmp_path / "ok.npz", **good)
+        assert load_graph(tmp_path / "ok.npz", ids, "cosine").k == 1
+        damaged = {
+            "ids differ": dict(good, ids=np.array(["a", "b", "x"])),
+            "allow_pickle": dict(good, ids=np.array(ids, dtype=object)),
+            "outside": dict(good, indices=np.array([[1], [0], [3]])),
+            r"outside \[0": dict(good, indices=np.array([[1], [0], [-1]])),
+            "dtypes int32": dict(good, indices=good["indices"].astype(np.int32)),
+            "float32, expected": dict(good, distances=good["distances"].astype(np.float32)),
+            r"shapes \(3,\), \(3,\)": dict(
+                good, indices=np.array([1, 0, 1]), distances=np.array([0.5, 0.5, 0.2])
+            ),
+            r"shapes \(3, 0\)": dict(
+                good, indices=np.zeros((3, 0), np.int64), distances=np.zeros((3, 0))
+            ),
+            r"shapes \(2, 1\)": dict(
+                good, indices=good["indices"][:2], distances=good["distances"][:2]
+            ),
+            r"\(3, 2\), expected": dict(good, distances=np.ones((3, 2))),
+            "KeyError": {k: v for k, v in good.items() if k != "ids"},
+        }
+        for match, arrays in damaged.items():
+            np.savez(tmp_path / "bad.npz", **arrays)  # pickles object arrays
+            with pytest.raises(ValueError, match=match):
+                load_graph(tmp_path / "bad.npz", ids, "cosine")
+        raw = (tmp_path / "ok.npz").read_bytes()
+        for cut in range(len(raw)):
+            (tmp_path / "cut.npz").write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                load_graph(tmp_path / "cut.npz", ids, "cosine")
+        np.save(tmp_path / "single.npy", good["indices"])
+        (tmp_path / "single.npy").rename(tmp_path / "single.npz")
+        with pytest.raises(ValueError, match="single array"):
+            load_graph(tmp_path / "single.npz", ids, "cosine")
+
+    def test_npz_bit_flips_never_load_a_different_graph(self, tmp_path):
+        m = random_matrix(np.random.default_rng(17), 6, 3)
+        g = knn_graph(m, 3, "cosine")
+        path = tmp_path / "g.npz"
+        save_graph(g, m.ids, path)
+        raw = path.read_bytes()
+        for pos in range(len(raw)):
+            for bit in (0x01, 0x80):
+                flipped = bytearray(raw)
+                flipped[pos] ^= bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    back = load_graph(path, m.ids, "cosine")
+                except ValueError:
+                    continue
+                assert np.array_equal(back.indices, g.indices), pos
+                assert back.distances.tobytes() == g.distances.tobytes(), pos
+
+    def test_missing_npz_is_an_io_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_graph(tmp_path / "absent.npz", ["a", "b"], "cosine")
 
     def test_rank_starts_at_one(self, tmp_path):
         m = random_matrix(np.random.default_rng(15), 5, 3)
