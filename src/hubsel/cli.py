@@ -25,7 +25,7 @@ _AFFINITY_NAMES = {"dense": "dense", "knn-sparse": "knn_sparse"}
 
 def _checked_graph_k(args) -> int:
     """Check the count options a command has; return the width of the one
-    kNN graph that serves hubness, LID and diversity."""
+    kNN graph that serves hubness, LID and, on analyze, diversity."""
     counts = {name: getattr(args, name, 1) for name in ("k_hub", "n_lid", "m_div", "threads")}
     for name, value in counts.items():
         if value < 1:
@@ -91,24 +91,23 @@ def cmd_analyze(args) -> int:
 
 
 def _solve(m, args, affinity_name: str, init: str, linear=False, max_iterations=None):
-    """Profile (from --profiles, else computed), affinity, and solver run."""
+    """Hubness and LID (from --profiles or the graph), affinity, and solver run."""
     graph = None
     if args.profiles:
         profile = stats.load_profile_csv(args.profiles)
         if profile.ids != m.ids:
             raise ValueError(f"profile ids do not match feature ids ({args.profiles})")
+        hub, lid = profile.hubness, profile.lid
     else:
         graph = _build_graph(m, args)
-        profile = stats.compute_profile(
-            m, g=graph, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div
-        )
+        hub, lid = stats.hubness_and_lid(graph, args.k_hub, args.n_lid)
     affinity = _AFFINITY_NAMES.get(affinity_name)
     if affinity is None:
         raise ValueError(f"unknown affinity mode '{affinity_name}'")
     if affinity == "knn_sparse" and graph is None and not linear:
         graph = _build_graph(m, args)
     problem = selector.build_problem(
-        profile.hubness, profile.lid, m,
+        hub, lid, m,
         metric=args.metric, k=args.k, mode=affinity, graph=graph, linear=linear,
     )
     solver_cfg = selector.SolverConfig(
@@ -183,7 +182,7 @@ def cmd_eval(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help="threads for the kNN block products")
 
 
 def _add_profile_knobs(sub) -> None:
@@ -191,8 +190,6 @@ def _add_profile_knobs(sub) -> None:
                      help="neighbors for hubness scores")
     sub.add_argument("--n-lid", dest="n_lid", type=int, default=100,
                      help="sample size of the lid estimator")
-    sub.add_argument("--m-div", dest="m_div", type=int, default=30,
-                     help="neighbors for the diversity score")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("knn", help="build an exact kNN graph")
     p.add_argument("features")
     p.add_argument("--k", type=int, required=True, help="neighbors per fragment")
-    p.add_argument("--out", required=True, help="graph csv")
+    p.add_argument("--out", required=True, help="graph file: .npz archive, else csv")
     _add_common(p)
     p.set_defaults(func=cmd_knn)
 
@@ -219,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
     _add_profile_knobs(p)
+    p.add_argument("--m-div", dest="m_div", type=int, default=30,
+                   help="neighbors for the diversity score")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("select", help="solve the budgeted selection problem")

@@ -6,7 +6,8 @@ UTF-8, no header row) and the compact ``fbin`` binary layout (magic
 ``HLF1``, little-endian u32 row and column counts, float32 values in row
 major order, then length-prefixed UTF-8 ids). Values are float64 in
 memory regardless of the storage format. Ids are written unquoted to
-every CSV table, so no id may contain ``,``, ``\\r`` or ``\\n``.
+every CSV table, so no id may contain ``,``, ``\\r`` or ``\\n``; nor NUL,
+which the ``.npz`` graph cache drops.
 """
 
 from __future__ import annotations

@@ -178,17 +178,11 @@ def global_id(profile: LidProfile) -> float:
     return float(profile.lids[keep].mean())
 
 
-def compute_profile(
-    m,
-    g: NeighborGraph,
-    k_hub: int = 10,
-    n_lid: int = 100,
-    m_div: int = 30,
-) -> StatProfile:
-    """Assemble hubness, LID, and diversity profiles from one graph.
+def hubness_and_lid(g: NeighborGraph, k_hub: int, n_lid: int) -> tuple[HubnessProfile, LidProfile]:
+    """Hubness and LID profiles from one graph, the two the selection reads.
 
     Parameters are capped to what the graph supports: hubness uses
-    min(k_hub, width) neighbors, diversity min(m_div, width). When the
+    min(k_hub, width) neighbors, LID min(n_lid, width - 1). When the
     graph is too small for any LID sample (width < 2), every estimate is
     recorded as degenerate at the cap.
     """
@@ -204,6 +198,19 @@ def compute_profile(
             lids=np.full(n, LID_CAP),
             degenerate=np.ones(n, dtype=bool),
         )
+    return hub, lid
+
+
+def compute_profile(
+    m,
+    g: NeighborGraph,
+    k_hub: int = 10,
+    n_lid: int = 100,
+    m_div: int = 30,
+) -> StatProfile:
+    """Assemble hubness, LID (see :func:`hubness_and_lid`) and diversity
+    profiles from one graph; diversity uses min(m_div, width) neighbors."""
+    hub, lid = hubness_and_lid(g, k_hub, n_lid)
     div = diversity(m, g, m_div)
     return StatProfile(ids=list(m.ids), hubness=hub, lid=lid, diversity=div)
 

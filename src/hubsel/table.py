@@ -2,7 +2,8 @@
 
 Tables are UTF-8 text with one row per line and fields separated by
 ``,``. Nothing is quoted, so an id must never contain ``,``, ``\\r`` or
-``\\n``; :func:`check_id` holds that rule. Readers skip blank and
+``\\n``, nor NUL, which the ``.npz`` graph cache cannot store;
+:func:`check_id` holds that rule. Readers skip blank and
 whitespace-only lines, and skip line 1 when it equals the table's header.
 JSON files are UTF-8, indented by 2, with a trailing newline.
 """
@@ -13,9 +14,9 @@ import json
 
 
 def check_id(ident: str, what: str) -> None:
-    """Reject an id that cannot be written as one table field."""
-    if "," in ident or "\r" in ident or "\n" in ident:
-        raise ValueError(f"{what} {ident!r} contains ',', '\\r' or '\\n'")
+    """Reject an id that cannot be written as one table field or cached."""
+    if "," in ident or "\r" in ident or "\n" in ident or "\x00" in ident:
+        raise ValueError(f"{what} {ident!r} contains ',', '\\r', '\\n' or '\\x00'")
 
 
 def read_rows(path, fields: int | None = None, header: str | None = None):

@@ -159,6 +159,23 @@ class TestAnalyze:
         assert "'a,b'" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_id_with_nul_exits_1(self, tmp_path, capsys):
+        """The ``.npz`` cache cannot store a NUL, so no loader accepts one."""
+        csv = tmp_path / "bad.csv"
+        csv.write_text("x,1.0,0.0\na\x00,0.0,1.0\ny,1.0,1.0\n")
+        fbin = write_fbin(tmp_path / "bad.fbin", ["x", "a\x00", "y"], np.eye(3))
+        for feat in (csv, fbin):
+            out = tmp_path / f"out_{feat.suffix[1:]}"
+            assert cli.main(["analyze", str(feat), "--out", str(out)]) == 1
+            assert "'a\\x00'" in capsys.readouterr().err
+            assert not list(out.iterdir())
+
+    def test_m_div_sets_diversity_width(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        args = ["analyze", str(workspace["features"]), "--out", str(out), "--m-div", "5"]
+        assert cli.main(args) == 0
+        assert json.loads((out / "summary.json").read_text())["m_nbr"] == 5
+
     def test_two_fragment_collection(self, tmp_path, capsys):
         feat = tmp_path / "tiny.csv"
         feat.write_text("a,1.0,0.0\nb,0.0,1.0\n")
@@ -306,6 +323,79 @@ class TestSelect:
         ]
         assert cli.main(args) == 0
         assert len(json.loads(out.read_text())["selected"]) == 5
+
+
+class TestSolveReadsHubnessAndLidOnly:
+    """select and solver-mode rank compute hubness and LID, never diversity,
+    and take no --m-div, so their graph is only as wide as those two need."""
+
+    @staticmethod
+    def no_diversity(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("select or rank computed diversity")
+
+        monkeypatch.setattr(stats, "diversity", fail)
+
+    @staticmethod
+    def library_solve(workspace, mode):
+        m = features.load_features(workspace["features"])
+        g = neighbors.knn_graph(m, m.n - 1, metric="cosine")
+        prof = stats.compute_profile(m, g)
+        problem = selector.build_problem(
+            prof.hubness, prof.lid, m, metric="cosine", k=4, mode=mode, graph=g
+        )
+        return m, problem, *selector.solve(problem, selector.SolverConfig(init="hub_first"))
+
+    @pytest.mark.parametrize("mode", ["dense", "knn-sparse"])
+    def test_select_matches_library_without_diversity(
+        self, workspace, tmp_path, monkeypatch, capsys, mode
+    ):
+        m, problem, y, trace = self.library_solve(workspace, mode.replace("-", "_"))
+        lib = tmp_path / "lib.json"
+        selector.save_solution(lib, m.ids, problem, y, trace, init_label="hub-first")
+        self.no_diversity(monkeypatch)
+        out = tmp_path / "cli.json"
+        args = ["select", str(workspace["features"]), "--k", "4", "--mode", mode]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == lib.read_bytes()
+
+    def test_rank_matches_library_without_diversity(self, workspace, tmp_path, monkeypatch):
+        m, problem, y, _ = self.library_solve(workspace, "dense")
+        lib = tmp_path / "lib.csv"
+        order = selector.ranking_order(y, problem)
+        evaluation.save_run(lib, Ranking(query_id="all", items=[m.ids[i] for i in order]))
+        self.no_diversity(monkeypatch)
+        out = tmp_path / "cli.csv"
+        args = ["rank", "--mode", "hub-first", "--features", str(workspace["features"]),
+                "--k", "4", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert out.read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["select", "features.csv", "--k", "4", "--out", "s.json"],
+        ["rank", "--mode", "hub-first", "--features", "features.csv", "--k", "4",
+         "--out", "r.csv"],
+    ], ids=["select", "rank"])
+    def test_m_div_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--m-div", "5"])
+        assert exc.value.code == 2
+        assert "--m-div" in capsys.readouterr().err
+
+    def test_sparse_width_is_k_hub_or_n_lid_plus_one(self, workspace, tmp_path, monkeypatch):
+        problems = []
+        solve = selector.solve
+        monkeypatch.setattr(
+            selector, "solve", lambda p, cfg: problems.append(p) or solve(p, cfg)
+        )
+        args = ["select", str(workspace["features"]), "--k", "4", "--mode", "knn-sparse",
+                "--n-lid", "10", "--k-hub", "5", "--out", str(tmp_path / "s.json")]
+        assert cli.main(args) == 0
+        m = workspace["matrix"]
+        g = neighbors.knn_graph(m, 11, metric="cosine")
+        expected = np.zeros((m.n, m.n))
+        expected[np.repeat(np.arange(m.n), 11), g.indices.ravel()] = g.distances.ravel()
+        assert np.array_equal(problems[0].a.toarray(), np.maximum(expected, expected.T))
 
 
 class TestRank:

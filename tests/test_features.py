@@ -118,7 +118,7 @@ class TestMatrixValidation:
         with pytest.raises(ValueError, match="2-D"):
             FeatureMatrix(ids=["a"], values=np.ones(3))
 
-    @pytest.mark.parametrize("ident", ["a,b", "a\rb", "a\nb"])
+    @pytest.mark.parametrize("ident", ["a,b", "a\rb", "a\nb", "a\x00"])
     def test_id_outside_table_dialect(self, ident):
         with pytest.raises(ValueError, match=r"row 2: id .* contains"):
             FeatureMatrix(ids=["x", ident], values=np.ones((2, 2)))

@@ -13,6 +13,7 @@ from hubsel.stats import (
     compute_profile,
     diversity,
     global_id,
+    hubness_and_lid,
     hubness_scores,
     lid_mle,
     load_profile_csv,
@@ -266,6 +267,18 @@ class TestProfileBundle:
         summary = summarize(prof)
         assert summary["skewness"] == 0.0
         assert summary["global_id"] is None
+
+    @pytest.mark.parametrize("n, width", [(30, 9), (2, 1)])  # (2, 1): no LID sample
+    def test_hubness_and_lid_match_compute_profile(self, n, width):
+        m = random_matrix(np.random.default_rng(32), n, 5)
+        g = knn_graph(m, width, "cosine")
+        hub, lid = hubness_and_lid(g, k_hub=4, n_lid=100)
+        prof = compute_profile(m, g, k_hub=4, n_lid=100, m_div=5)
+        assert (hub.k, lid.n_nbr) == (prof.hubness.k, prof.lid.n_nbr)
+        assert hub.scores.tobytes() == prof.hubness.scores.tobytes()
+        assert hub.categories.tolist() == prof.hubness.categories.tolist()
+        assert lid.lids.tobytes() == prof.lid.lids.tobytes()
+        assert lid.degenerate.tobytes() == prof.lid.degenerate.tobytes()
 
     def test_summarize_keys(self):
         m = random_matrix(np.random.default_rng(28), 40, 6)
