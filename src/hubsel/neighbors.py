@@ -32,6 +32,11 @@ METRICS = ("cosine", "euclidean")
 # around 64 MB. Results do not depend on the split.
 _BLOCK_ENTRIES = 8_000_000
 
+# Rows per block of a self distance matrix, sized so one block of the
+# upper triangle stays around 1 MB next to the n x n result. Results do
+# not depend on the split.
+_SELF_BLOCK_ENTRIES = 1 << 17
+
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 # Largest row magnitudes in [_SMALLEST, _largest(d)] need no rescaling:
@@ -122,11 +127,27 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     whose squares would overflow or fall below the normal range are first
     rescaled by a power of two (each row on its own for cosine, all rows
     by one factor for euclidean), so finite inputs give finite distances.
+
+    Called with the same object as ``x`` and ``y``, it computes each
+    unordered pair once: the upper triangle in row blocks, each mirrored
+    into the lower triangle. The bytes are those of the full pass, since
+    ``cdist`` computes each pair on its own and gives (i, j) and (j, i)
+    the same bits, and the rescaling is decided once for all of ``x``.
     """
-    x, y, unscale = _in_range(
-        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), metric
-    )
-    D = _distances(x, y, metric)
+    same = y is x
+    x = np.asarray(x, dtype=np.float64)
+    x, y, unscale = _in_range(x, x if same else np.asarray(y, dtype=np.float64), metric)
+    if same:
+        n = x.shape[0]
+        D = np.empty((n, n), dtype=np.float64)
+        block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            B = _distances(x[s:e], x[s:], metric)
+            D[s:e, s:] = B
+            D[s:, s:e] = B.T
+    else:
+        D = _distances(x, y, metric)
     if unscale != 1.0:
         D *= unscale
     return D

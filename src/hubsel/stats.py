@@ -254,17 +254,31 @@ def load_profile_csv(path) -> StatProfile:
 
     The CSV carries no parameter metadata; k, n_nbr, and m_nbr are
     restored from the sibling ``summary.json`` when present, otherwise
-    left at 0.
+    left at 0. A row holding a value no writer produces (an N_k that is
+    not a non-negative integer, a non-finite lid or diversity, a
+    degenerate flag other than 0 or 1) raises ``ValueError`` naming the
+    path and the row.
     """
     ids: list[str] = []
     scores, cats, lids, degs, divs = [], [], [], [], []
-    for _, (ident, n_k, cat, lid, deg, div) in table.read_rows(path, 6, PROFILE_HEADER):
+    for lineno, (ident, n_k, cat, lid, deg, div) in table.read_rows(path, 6, PROFILE_HEADER):
+        try:
+            score, lid_v, div_v = int(n_k), float(lid), float(div)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+        if score < 0:
+            raise ValueError(f"{path}: row {lineno}: N_k {n_k!r} is negative")
+        for name, text, value in (("lid", lid, lid_v), ("diversity", div, div_v)):
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: row {lineno}: {name} {text!r} is not finite")
+        if deg not in ("0", "1"):
+            raise ValueError(f"{path}: row {lineno}: degenerate {deg!r} is not 0 or 1")
         ids.append(ident)
-        scores.append(int(n_k))
+        scores.append(score)
         cats.append(cat)
-        lids.append(float(lid))
-        degs.append(bool(int(deg)))
-        divs.append(float(div))
+        lids.append(lid_v)
+        degs.append(deg == "1")
+        divs.append(div_v)
     if not ids:
         raise ValueError(f"{path}: empty profile file")
     k = n_nbr = m_nbr = 0

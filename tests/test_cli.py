@@ -324,6 +324,30 @@ class TestSelect:
         assert cli.main(args) == 0
         assert len(json.loads(out.read_text())["selected"]) == 5
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(3, "nan"), (1, "-7"), (1, "1.5"), (5, "inf"), (4, "2")],
+        ids=["lid nan", "N_k negative", "N_k fraction", "diversity inf", "degenerate 2"],
+    )
+    def test_profile_value_no_writer_produces_exits_1(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        lines = (workspace["analysis"] / "profile.csv").read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[field] = value
+        lines[2] = ",".join(parts)
+        profiles = tmp_path / "profile.csv"
+        profiles.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "solution.json"
+        args = [
+            "select", str(workspace["features"]), "--k", "5", "--out", str(out),
+            "--profiles", str(profiles),
+        ]
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert f"{profiles}: row 3:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveReadsHubnessAndLidOnly:
     """select and solver-mode rank compute hubness and LID, never diversity,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -303,6 +304,7 @@ def _matrix(values):
 def assert_exact_graph(values, k, metric, threads=1):
     """The graph equals a full stable sort of every distance_matrix row."""
     D = distance_matrix(values, values, metric)
+    assert D.tobytes() == distance_matrix(values, values.copy(), metric).tobytes()
     np.fill_diagonal(D, np.inf)
     k_eff = min(k, len(values) - 1)
     order = np.argsort(D, axis=1, kind="stable")[:, :k_eff]
@@ -404,6 +406,23 @@ class TestExtremeMagnitudes:
             assert np.isfinite(distance_matrix(values, values, metric)).all()
         d = distance_matrix(values[:1], values[1:2], "euclidean")[0, 0]
         assert d == pytest.approx(float(np.linalg.norm(values[0] / 1e200 - values[1] / 1e200)) * 1e200)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170])
+    def test_self_matrix_one_pass_matches_full_pass(self, monkeypatch, metric, scale):
+        # A self call computes each unordered pair once and mirrors it,
+        # which keeps the bytes only because cdist gives (i, j) and (j, i)
+        # the same bits; checked with one-row blocks, two-row blocks (a
+        # ragged last one when n is odd) and a single block, after the
+        # per-row (cosine) or global (euclidean) rescale
+        rng = np.random.default_rng(37)
+        for n, d in itertools.product((2, 3, 17), (1, 3, 128)):
+            x = rng.standard_normal((n, d)) * scale
+            full = distance_matrix(x, x.copy(), metric)
+            assert full.tobytes() == full.T.copy().tobytes()
+            for rows in (1, 2, n):
+                monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
+                assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
 
     def test_tiny_row_among_unit_rows_under_cosine(self):
         values = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [-1.0, 3.0]])
