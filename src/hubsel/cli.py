@@ -4,8 +4,9 @@ Exit codes follow one convention across subcommands: 0 on success
 (including a solver run that stops without converging), 1 on domain
 errors (mismatched ids, invalid budgets, unknown modes, missing ground
 truth) and when memory runs out, 2 on I/O failures. All outputs are
-deterministic for a fixed configuration and seed, independent of the
-thread count.
+deterministic for a fixed configuration and seed. ``--threads`` is
+accepted for compatibility and has no effect: the kNN scan runs in one
+thread. A value below 1 is still an error.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ def _checked_graph_k(args) -> int:
 
 
 def _build_graph(m, args) -> neighbors.NeighborGraph:
-    return neighbors.knn_graph(
-        m, min(_checked_graph_k(args), m.n - 1), metric=args.metric, threads=args.threads
-    )
+    return neighbors.knn_graph(m, min(_checked_graph_k(args), m.n - 1), metric=args.metric)
 
 
 def _cached_graph(m, args, out_dir: Path) -> neighbors.NeighborGraph:
@@ -71,7 +70,7 @@ def cmd_knn(args) -> int:
     if args.k < 1:
         raise ValueError(f"invalid neighbor count k = {args.k}")
     m = features.load_features(args.features)
-    g = neighbors.knn_graph(m, args.k, metric=args.metric, threads=args.threads)
+    g = neighbors.knn_graph(m, args.k, metric=args.metric)
     neighbors.save_graph(g, m.ids, args.out)
     print(f"knn graph: {g.n} fragments, {g.indices.shape[1]} neighbors -> {args.out}")
     return 0
@@ -122,10 +121,10 @@ def cmd_select(args) -> int:
     problem, y, trace = _solve(
         m, args, args.mode, args.init, linear=args.linear, max_iterations=args.max_iter
     )
-    selector.save_solution(args.out, m.ids, problem, y, trace, init_label=args.init)
+    selected = selector.save_solution(args.out, m.ids, problem, y, trace, init_label=args.init)
     if args.trace:
         selector.save_trace(args.trace, trace)
-    for i in selector.round_selection(y, problem):
+    for i in selected:
         print(m.ids[i])
     return 0
 
@@ -182,7 +181,8 @@ def cmd_eval(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
-    sub.add_argument("--threads", type=int, default=1, help="threads for the kNN block products")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility, no effect: the kNN scan runs in one thread")
 
 
 def _add_profile_knobs(sub) -> None:

@@ -156,7 +156,10 @@ def load_scores(path) -> dict[str, float]:
     """Read ``fragment_id,score`` rows; scores must lie in [0, 15]."""
     scores: dict[str, float] = {}
     for lineno, (fid, val) in table.read_rows(path, 2, SCORES_HEADER):
-        v = float(val)
+        try:
+            v = float(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
         if not (SCORE_MIN <= v <= SCORE_MAX):
             raise ValueError(
                 f"{path}: row {lineno}: score {v!r} outside [{SCORE_MIN}, {SCORE_MAX}]"
@@ -182,10 +185,14 @@ def load_run(path) -> list[Ranking]:
     per_query: dict[str, list[tuple[int, str]]] = {}
     order: list[str] = []
     for lineno, (qid, rank_s, fid) in table.read_rows(path, 3, RUN_HEADER):
+        try:
+            rank = int(rank_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
         if qid not in per_query:
             per_query[qid] = []
             order.append(qid)
-        per_query[qid].append((int(rank_s), fid))
+        per_query[qid].append((rank, fid))
     if not per_query:
         raise ValueError(f"{path}: empty run file")
     rankings = []

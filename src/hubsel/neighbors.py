@@ -6,8 +6,8 @@ product, keeps a shortlist that provably holds every exact neighbor, and
 ranks the shortlist by distances recomputed exactly as
 :func:`distance_matrix` computes them. Neighbor lists exclude the query
 itself, are sorted by ascending distance, and break ties by the smaller
-fragment index, so results are reproducible bit for bit across runs,
-block splits and thread counts.
+fragment index, so results are reproducible bit for bit across runs
+and block splits.
 
 Rows whose magnitudes would overflow, or underflow below the normal
 range, when squared are rescaled by a power of two first; inputs in the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,7 +207,7 @@ class NeighborGraph:
         )
 
 
-def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGraph:
+def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     """Build the exact kNN graph of a feature matrix.
 
     Each block of query rows is ranked against all rows with one matrix
@@ -231,9 +230,6 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
     k : int
         Requested neighbors per fragment; lists hold min(k, n - 1).
     metric : {'cosine', 'euclidean'}
-    threads : int
-        Worker threads for the blocked scan. Results are identical for
-        any thread count.
 
     Returns
     -------
@@ -280,10 +276,8 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
     indices = np.empty((n, k_eff), dtype=np.int64)
     distances = np.empty((n, k_eff), dtype=np.float64)
     block = max(1, _BLOCK_ENTRIES // n)
-    spans = [(s, min(s + block, n)) for s in range(0, n, block)]
-
-    def scan(span):
-        s, e = span
+    for s in range(0, n, block):
+        e = min(s + block, n)
         approx = Y[s:e] @ Y.T
         if metric == "cosine":
             np.subtract(1.0, approx, out=approx)
@@ -300,13 +294,8 @@ def knn_graph(m, k: int, metric: str = "cosine", threads: int = 1) -> NeighborGr
             order = np.argsort(dist, kind="stable")[:k_eff]
             indices[i] = cand[order]
             distances[i] = dist[order]
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(scan, spans))
-    else:
-        for span in spans:
-            scan(span)
+        # freed before the next product, so one block is live at a time
+        del approx, row
     if unscale != 1.0:
         distances *= unscale
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
@@ -369,7 +358,11 @@ def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
             raise ValueError(f"{path}: row {lineno}: unknown query id '{qid}'")
         if nid not in index:
             raise ValueError(f"{path}: row {lineno}: unknown neighbor id '{nid}'")
-        per_query.setdefault(index[qid], []).append((int(rank_s), index[nid], float(dist_s)))
+        try:
+            row = (int(rank_s), index[nid], float(dist_s))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+        per_query.setdefault(index[qid], []).append(row)
     n = len(ids)
     if set(per_query) != set(range(n)):
         missing = sorted(set(range(n)) - set(per_query))

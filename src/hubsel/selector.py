@@ -415,8 +415,9 @@ def save_solution(
     y: IndicatorVector,
     trace: SolverTrace,
     init_label: str,
-) -> None:
-    """Write the solver result as JSON (fresh objective, selected ids)."""
+) -> list[int]:
+    """Write the solver result as JSON (fresh objective, selected ids) and
+    return the selected indices, as :func:`round_selection` gives them."""
     selected = round_selection(y, p)
     payload = {
         "k": p.k,
@@ -429,6 +430,7 @@ def save_solution(
         "y": [float(v) for v in y.y],
     }
     table.write_json(path, payload)
+    return selected
 
 
 TRACE_HEADER = "iteration,objective,eta,donor,receiver,alpha"

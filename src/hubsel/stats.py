@@ -11,10 +11,8 @@ neighbor distances.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +23,9 @@ from hubsel.neighbors import NeighborGraph, group_mean_distances
 # all-equal-distance case, whose raw estimate is infinite) are stored as
 # the cap with the degenerate flag set.
 LID_CAP = 1.0e6
+
+# the labels hubness_scores gives; the profile loader accepts no other
+CATEGORIES = ("hub", "normal", "anti_hub")
 
 
 @dataclass
@@ -252,12 +253,11 @@ def save_profile_csv(profile: StatProfile, path) -> None:
 def load_profile_csv(path) -> StatProfile:
     """Reload a profile written by :func:`save_profile_csv`.
 
-    The CSV carries no parameter metadata; k, n_nbr, and m_nbr are
-    restored from the sibling ``summary.json`` when present, otherwise
-    left at 0. A row holding a value no writer produces (an N_k that is
-    not a non-negative integer, a non-finite lid or diversity, a
-    degenerate flag other than 0 or 1) raises ``ValueError`` naming the
-    path and the row.
+    The CSV carries no parameter metadata, so k, n_nbr and m_nbr read 0.
+    A row holding a value no writer produces (an N_k that is not a
+    non-negative integer, a category other than hub, normal or anti_hub,
+    a non-finite lid or diversity, a degenerate flag other than 0 or 1)
+    raises ``ValueError`` naming the path and the row.
     """
     ids: list[str] = []
     scores, cats, lids, degs, divs = [], [], [], [], []
@@ -268,6 +268,8 @@ def load_profile_csv(path) -> StatProfile:
             raise ValueError(f"{path}: row {lineno}: {exc}") from exc
         if score < 0:
             raise ValueError(f"{path}: row {lineno}: N_k {n_k!r} is negative")
+        if cat not in CATEGORIES:
+            raise ValueError(f"{path}: row {lineno}: category {cat!r} is not one of {CATEGORIES}")
         for name, text, value in (("lid", lid, lid_v), ("diversity", div, div_v)):
             if not math.isfinite(value):
                 raise ValueError(f"{path}: row {lineno}: {name} {text!r} is not finite")
@@ -281,26 +283,19 @@ def load_profile_csv(path) -> StatProfile:
         divs.append(div_v)
     if not ids:
         raise ValueError(f"{path}: empty profile file")
-    k = n_nbr = m_nbr = 0
-    summary_path = Path(path).parent / "summary.json"
-    if summary_path.exists():
-        meta = json.loads(summary_path.read_text(encoding="utf-8"))
-        k = int(meta.get("k", 0))
-        n_nbr = int(meta.get("n_nbr", 0))
-        m_nbr = int(meta.get("m_nbr", 0))
     return StatProfile(
         ids=ids,
         hubness=HubnessProfile(
-            k=k,
+            k=0,
             scores=np.array(scores, dtype=np.int64),
             categories=np.array(cats),
         ),
         lid=LidProfile(
-            n_nbr=n_nbr,
+            n_nbr=0,
             lids=np.array(lids, dtype=np.float64),
             degenerate=np.array(degs, dtype=bool),
         ),
-        diversity=DiversityProfile(m_nbr=m_nbr, values=np.array(divs, dtype=np.float64)),
+        diversity=DiversityProfile(m_nbr=0, values=np.array(divs, dtype=np.float64)),
     )
 
 

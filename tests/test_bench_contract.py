@@ -1,10 +1,11 @@
-"""The benchmark's tracer wraps program functions by name; check the names.
+"""The benchmark drives the program by name; check the names it uses.
 
 ``perfbench/tracing.py`` patches each ``PATCHES`` entry through the module
 references held by ``hubsel.cli`` and its counters read arguments and
-results of the wrapped functions. A rename, or a result whose shape a
-counter no longer reads, would otherwise only fail when the benchmark
-runs with ``--trace 1``.
+results of the wrapped functions, and ``perfbench/workloads.py`` runs
+``hubsel`` command lines. A rename, a result whose shape a counter no
+longer reads, or a dropped option would otherwise only fail when the
+benchmark runs.
 """
 
 import inspect
@@ -20,6 +21,18 @@ from helpers import random_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_commands_parse(name, tmp_path):
+    inputs = workloads.Inputs(
+        csv=tmp_path / "c.csv", fbin=tmp_path / "c.fbin", scores=tmp_path / "s.csv",
+        prepared=tmp_path / "prepared",
+    )
+    for args, _ in workloads.WORKLOADS[name].job(inputs):
+        parsed = cli.build_parser().parse_args(list(args))
+        assert parsed.command == args[0]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,45 @@ class TestKnn:
         code = cli.main(["knn", str(workspace["features"]), "--k", "0", "--out", str(out)])
         assert code == 1
         assert "invalid neighbor count" in capsys.readouterr().err
+
+
+class TestThreadsFlag:
+    """--threads is accepted and ignored: the scan is one serial loop over
+    row blocks, so no thread starts and the bytes match --threads 1."""
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "{feat}", "--out", "out"],
+        ["knn", "{feat}", "--k", "7", "--out", "g.csv"],
+        ["knn", "{feat}", "--k", "7", "--out", "g.npz"],
+    ], ids=["analyze", "knn csv", "knn npz"])
+    def test_starts_no_thread_and_matches_one_thread(
+        self, workspace, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7 * workspace["matrix"].n)
+
+        def no_thread(self):
+            raise AssertionError("the kNN scan started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        written = {}
+        for threads in ("1", "2"):
+            run = tmp_path / threads
+            run.mkdir()
+            monkeypatch.chdir(run)
+            argv = [a.format(feat=workspace["features"]) for a in command]
+            capsys.readouterr()
+            assert cli.main(argv + ["--threads", threads]) == 0
+            files = {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*"))
+                     if p.is_file()}
+            written[threads] = (files, capsys.readouterr())
+        assert written["1"] == written["2"]
+
+    def test_zero_threads_exits_1(self, workspace, tmp_path, capsys):
+        argv = ["knn", str(workspace["features"]), "--k", "3", "--out", str(tmp_path / "g.csv"),
+                "--threads", "0"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: threads must be positive\n"
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestAnalyze:
@@ -326,8 +366,9 @@ class TestSelect:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(3, "nan"), (1, "-7"), (1, "1.5"), (5, "inf"), (4, "2")],
-        ids=["lid nan", "N_k negative", "N_k fraction", "diversity inf", "degenerate 2"],
+        [(3, "nan"), (1, "-7"), (1, "1.5"), (5, "inf"), (4, "2"), (2, "bogus")],
+        ids=["lid nan", "N_k negative", "N_k fraction", "diversity inf", "degenerate 2",
+             "category bogus"],
     )
     def test_profile_value_no_writer_produces_exits_1(
         self, workspace, tmp_path, capsys, field, value
@@ -347,6 +388,28 @@ class TestSelect:
         assert cli.main(args) == 1
         assert f"{profiles}: row 3:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sidecar", ['{"k": null}', "[1]", "not json"],
+                             ids=["k null", "list", "not json"])
+    def test_profiles_ignore_summary_sidecar(
+        self, workspace, tmp_path, monkeypatch, capsys, sidecar
+    ):
+        analysis = workspace["analysis"]
+        profiles = ["--profiles", "profile.csv"]
+        written = []
+        for summary in ((analysis / "summary.json").read_text(), sidecar):
+            run = tmp_path / str(len(written))
+            run.mkdir()
+            monkeypatch.chdir(run)
+            Path("profile.csv").write_bytes((analysis / "profile.csv").read_bytes())
+            Path("summary.json").write_text(summary)
+            capsys.readouterr()
+            assert cli.main(["select", str(workspace["features"]), "--k", "5",
+                             "--out", "solution.json", *profiles]) == 0
+            assert cli.main(["rank", "--mode", "hub", "--out", "run.csv", *profiles]) == 0
+            written.append((Path("solution.json").read_bytes(), Path("run.csv").read_bytes(),
+                            capsys.readouterr()))
+        assert written[0] == written[1]
 
 
 class TestSolveReadsHubnessAndLidOnly:

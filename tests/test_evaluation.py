@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,16 @@ class TestFiles:
         path.write_text("query_id,rank,item_id\nq1,1,a\nq1,3,b\n")
         with pytest.raises(ValueError, match="rank"):
             load_run(path)
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_run, "query_id,rank,fragment_id\nq1,1,a\nq1,x,b\n"),
+        (load_scores, "fragment_id,score\na,1\nb,abc\n"),
+    ], ids=["run rank", "score"])
+    def test_unparsable_field_names_path_and_row(self, tmp_path, loader, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3: "):
+            loader(path)
 
     def test_report_json(self, tmp_path):
         out = tmp_path / "report.json"
