@@ -24,7 +24,6 @@ from hubsel.neighbors import (
     save_graph,
 )
 from hubsel.selector import (
-    IndicatorVector,
     SelectionProblem,
     SolverConfig,
     SolverTrace,

@@ -83,9 +83,9 @@ def cmd_analyze(args) -> int:
     g = _cached_graph(m, args, out_dir)
     profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
     stats.save_profile_csv(profile, out_dir / "profile.csv")
-    stats.save_summary_json(profile, out_dir / "summary.json")
+    summary = stats.save_summary_json(profile, out_dir / "summary.json")
     stats.save_scatter_csv(profile, out_dir / "scatter.csv")
-    print(json.dumps(stats.summarize(profile), indent=2))
+    print(json.dumps(summary, indent=2))
     return 0
 
 

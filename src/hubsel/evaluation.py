@@ -153,7 +153,8 @@ def load_ground_truth(path) -> dict[str, set[str]]:
 
 
 def load_scores(path) -> dict[str, float]:
-    """Read ``fragment_id,score`` rows; scores must lie in [0, 15]."""
+    """Read ``fragment_id,score`` rows; scores must lie in [0, 15] and each
+    fragment id may appear once."""
     scores: dict[str, float] = {}
     for lineno, (fid, val) in table.read_rows(path, 2, SCORES_HEADER):
         try:
@@ -164,6 +165,8 @@ def load_scores(path) -> dict[str, float]:
             raise ValueError(
                 f"{path}: row {lineno}: score {v!r} outside [{SCORE_MIN}, {SCORE_MAX}]"
             )
+        if fid in scores:
+            raise ValueError(f"{path}: row {lineno}: repeated fragment id '{fid}'")
         scores[fid] = v
     return scores
 

@@ -315,10 +315,11 @@ def save_graph(g: NeighborGraph, ids: list[str], path) -> None:
 
     ``.npz``: an uncompressed archive of the arrays ``ids`` (unicode),
     ``indices`` (int64) and ``distances`` (float64), both (n, k), written
-    with fixed member timestamps so equal graphs give equal bytes. Any
-    other suffix: CSV rows ``query_id,rank,neighbor_id,distance`` with
-    ranks from 1 and distances at full round-trip precision. Either way
-    a reloaded graph is bit-identical.
+    with fixed member timestamps so equal graphs give equal bytes;
+    :func:`load_graph` reads it back bit-identical. Any other suffix: CSV
+    rows ``query_id,rank,neighbor_id,distance`` with ranks from 1 and
+    distances at full round-trip precision, an export that no hubsel
+    command reads back.
     """
     if _is_npz(path):
         # np.savez stamps each member with the current time
@@ -338,50 +339,6 @@ def save_graph(g: NeighborGraph, ids: list[str], path) -> None:
     table.write_rows(path, rows(), header=GRAPH_HEADER)
 
 
-def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
-    """Reload a graph written by :func:`save_graph`, in the format its
-    suffix names.
-
-    ``ids`` supplies the id-to-row mapping of the owning collection: CSV
-    rows must name only these ids, and a ``.npz`` file must store exactly
-    them, in order. The metric is not stored and must be passed by the
-    caller. A file that does not hold a complete graph of ``ids`` raises
-    ``ValueError``.
-    """
-    _check_metric(metric)
-    if _is_npz(path):
-        return _load_npz(path, ids, metric)
-    index = {ident: i for i, ident in enumerate(ids)}
-    per_query: dict[int, list[tuple[int, int, float]]] = {}
-    for lineno, (qid, rank_s, nid, dist_s) in table.read_rows(path, 4, GRAPH_HEADER):
-        if qid not in index:
-            raise ValueError(f"{path}: row {lineno}: unknown query id '{qid}'")
-        if nid not in index:
-            raise ValueError(f"{path}: row {lineno}: unknown neighbor id '{nid}'")
-        try:
-            row = (int(rank_s), index[nid], float(dist_s))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-        per_query.setdefault(index[qid], []).append(row)
-    n = len(ids)
-    if set(per_query) != set(range(n)):
-        missing = sorted(set(range(n)) - set(per_query))
-        raise ValueError(f"{path}: no neighbor rows for fragment '{ids[missing[0]]}'")
-    widths = {len(v) for v in per_query.values()}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent neighbor list lengths {sorted(widths)}")
-    k = widths.pop()
-    indices = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k), dtype=np.float64)
-    for i, rows in per_query.items():
-        rows.sort()
-        if [r for r, _, _ in rows] != list(range(1, k + 1)):
-            raise ValueError(f"{path}: ranks for '{ids[i]}' are not contiguous from 1")
-        indices[i] = [j for _, j, _ in rows]
-        distances[i] = [d for _, _, d in rows]
-    return NeighborGraph(k=k, metric=metric, indices=indices, distances=distances)
-
-
 # What zipfile and np.load raise on a damaged archive; OSError covers
 # seeks to offsets a damaged directory names.
 _ARCHIVE_DAMAGE = (
@@ -390,7 +347,19 @@ _ARCHIVE_DAMAGE = (
 )
 
 
-def _load_npz(path, ids: list[str], metric: str) -> NeighborGraph:
+def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
+    """Reload a graph that :func:`save_graph` wrote to a ``.npz`` path.
+
+    The archive must store exactly ``ids``, in order, and an (n, k) graph
+    of them, k >= 1. The metric is not stored and must be passed by the
+    caller. Any other suffix raises ``ValueError`` before the file is
+    opened: the CSV that :func:`save_graph` writes is not read back. A
+    file that does not hold a complete graph of ``ids`` raises
+    ``ValueError``.
+    """
+    _check_metric(metric)
+    if not _is_npz(path):
+        raise ValueError(f"{path}: not a .npz graph archive")
     with open(path, "rb") as fh:  # a file that cannot be opened is an I/O error
         try:
             z = np.load(fh, allow_pickle=False)

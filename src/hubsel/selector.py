@@ -55,22 +55,6 @@ class SelectionProblem:
 
 
 @dataclass
-class IndicatorVector:
-    """Relaxed membership vector with its budget."""
-
-    y: np.ndarray
-    budget: int
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if abs(float(self.y.sum()) - self.budget) > tol:
-            raise ValueError(
-                f"budget violated: sum(y) = {float(self.y.sum())!r}, expected {self.budget}"
-            )
-        if self.y.min() < -tol or self.y.max() > 1.0 + tol:
-            raise ValueError("y outside the unit box")
-
-
-@dataclass
 class SolverConfig:
     init: object = "hub_first"  # hub_first | lid_first | uniform | ndarray
     max_iterations: int | None = None  # default 10 n
@@ -183,12 +167,6 @@ def build_problem(
     return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
 
 
-def _as_vector(y) -> np.ndarray:
-    if isinstance(y, IndicatorVector):
-        return np.asarray(y.y, dtype=np.float64)
-    return np.asarray(y, dtype=np.float64)
-
-
 def _row(a, i: int) -> np.ndarray:
     """Row i of A as a dense vector; the one place that tells dense from CSR."""
     if isinstance(a, np.ndarray):
@@ -212,41 +190,39 @@ def _rewards_at(p: SelectionProblem, av: np.ndarray) -> np.ndarray:
     return (p.h - p.d_risk) / p.k + 2.0 * av / _pair_divisor(p.k)
 
 
-def objective(p: SelectionProblem, y) -> float:
+def objective(p: SelectionProblem, y: np.ndarray) -> float:
     """Objective f(y). No budget check, so perturbed y may be evaluated."""
-    v = _as_vector(y)
-    return _objective_at(p, v, p.a @ v)
+    return _objective_at(p, y, p.a @ y)
 
 
-def rewards(p: SelectionProblem, y) -> np.ndarray:
+def rewards(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
     """Gradient of the objective: r = H/k - D/k + 2Ay / (k (k - 1))."""
-    v = _as_vector(y)
-    return _rewards_at(p, p.a @ v)
+    return _rewards_at(p, p.a @ y)
 
 
-def reward(p: SelectionProblem, y, i: int) -> float:
+def reward(p: SelectionProblem, y: np.ndarray, i: int) -> float:
     return float(rewards(p, y)[i])
 
 
-def _first_k(p: SelectionProblem, key: np.ndarray) -> IndicatorVector:
+def _first_k(p: SelectionProblem, key: np.ndarray) -> np.ndarray:
     """Indicator of the k smallest ``key`` entries, ties to the smaller index."""
     y = np.zeros(p.n, dtype=np.float64)
     y[np.argsort(key, kind="stable")[: p.k]] = 1.0
-    return IndicatorVector(y=y, budget=p.k)
+    return y
 
 
-def init_hub_first(p: SelectionProblem) -> IndicatorVector:
+def init_hub_first(p: SelectionProblem) -> np.ndarray:
     """Indicator of the k largest H entries, ties to the smaller index."""
     return _first_k(p, -p.h)
 
 
-def init_lid_first(p: SelectionProblem) -> IndicatorVector:
+def init_lid_first(p: SelectionProblem) -> np.ndarray:
     """Indicator of the k smallest D entries, ties to the smaller index."""
     return _first_k(p, p.d_risk)
 
 
-def init_uniform(p: SelectionProblem) -> IndicatorVector:
-    return IndicatorVector(y=np.full(p.n, p.k / p.n, dtype=np.float64), budget=p.k)
+def init_uniform(p: SelectionProblem) -> np.ndarray:
+    return np.full(p.n, p.k / p.n, dtype=np.float64)
 
 
 _INITS = {
@@ -256,17 +232,22 @@ _INITS = {
 }
 
 
-def _initial_vector(p: SelectionProblem, cfg: SolverConfig) -> IndicatorVector:
+def _initial_vector(p: SelectionProblem, cfg: SolverConfig) -> np.ndarray:
+    """A fresh float64 start vector: a named init, or a copy of a custom
+    one that meets the budget and the unit box to within 1e-9."""
     if isinstance(cfg.init, str):
         try:
             return _INITS[cfg.init](p)
         except KeyError:
             raise ValueError(f"unknown init '{cfg.init}'") from None
-    vec = IndicatorVector(y=np.array(cfg.init, dtype=np.float64), budget=p.k)
-    if vec.y.shape != (p.n,):
-        raise ValueError(f"custom init has shape {vec.y.shape}, expected ({p.n},)")
-    vec.validate(tol=1e-9)
-    return vec
+    y = np.array(cfg.init, dtype=np.float64)
+    if y.shape != (p.n,):
+        raise ValueError(f"custom init has shape {y.shape}, expected ({p.n},)")
+    if abs(float(y.sum()) - p.k) > 1e-9:
+        raise ValueError(f"budget violated: sum(y) = {float(y.sum())!r}, expected {p.k}")
+    if y.min() < -1e-9 or y.max() > 1.0 + 1e-9:
+        raise ValueError("y outside the unit box")
+    return y
 
 
 def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
@@ -290,9 +271,9 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
 
     Returns
     -------
-    (IndicatorVector, SolverTrace)
-        The KKT residual in the trace is recomputed from scratch at the
-        final iterate.
+    (ndarray, SolverTrace)
+        The relaxed indicator y, a fresh float64 array. The KKT residual
+        in the trace is recomputed from scratch at the final iterate.
     """
     cfg = cfg or SolverConfig()
     if cfg.step_rule not in ("derived", "paper"):
@@ -302,7 +283,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     n = p.n
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
 
-    y = _initial_vector(p, cfg).y  # a fresh float64 array, updated in place
+    y = _initial_vector(p, cfg)  # updated in place
     denom = _pair_divisor(k)
     ay = p.a @ y
     r = _rewards_at(p, ay)
@@ -355,21 +336,20 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         y_lo = min(y_lo, float(y[i]), float(y[j]))
         y_hi = max(y_hi, float(y[i]), float(y[j]))
 
-    result = IndicatorVector(y=y, budget=k)
     trace = SolverTrace(
         objective_per_iteration=objs,
         iterations=len(updates),
-        kkt_residual=kkt_residual(p, result, tol),
+        kkt_residual=kkt_residual(p, y, tol),
         converged=converged,
         updates=updates,
         max_budget_drift=drift,
         y_min=y_lo,
         y_max=y_hi,
     )
-    return result, trace
+    return y, trace
 
 
-def kkt_residual(p: SelectionProblem, y, tol: float = 1e-9) -> float:
+def kkt_residual(p: SelectionProblem, y: np.ndarray, tol: float = 1e-9) -> float:
     """Stationarity violation of y for the box-and-budget constraints.
 
     The multiplier is estimated as the midpoint between the largest
@@ -378,10 +358,9 @@ def kkt_residual(p: SelectionProblem, y, tol: float = 1e-9) -> float:
     not fall below it, interior entries must match it; the residual is
     the largest violation, 0 when either candidate set is empty.
     """
-    v = _as_vector(y)
-    r = rewards(p, v)
-    below = v < 1.0 - tol
-    above = v > tol
+    r = rewards(p, y)
+    below = y < 1.0 - tol
+    above = y > tol
     if not below.any() or not above.any():
         return 0.0
     lam = 0.5 * (float(r[below].max()) + float(r[above].min()))
@@ -391,7 +370,7 @@ def kkt_residual(p: SelectionProblem, y, tol: float = 1e-9) -> float:
     return max(0.0, float(viol.max()))
 
 
-def round_selection(y, p: SelectionProblem) -> list[int]:
+def round_selection(y: np.ndarray, p: SelectionProblem) -> list[int]:
     """Indices of the k largest y entries.
 
     Ties are broken by the higher reward at y, then by the smaller
@@ -400,11 +379,10 @@ def round_selection(y, p: SelectionProblem) -> list[int]:
     return ranking_order(y, p)[: p.k]
 
 
-def ranking_order(y, p: SelectionProblem) -> list[int]:
+def ranking_order(y: np.ndarray, p: SelectionProblem) -> list[int]:
     """All indices by descending y, then descending reward, then index."""
-    v = _as_vector(y)
-    r = rewards(p, v)
-    order = np.lexsort((np.arange(v.size), -r, -v))
+    r = rewards(p, y)
+    order = np.lexsort((np.arange(y.size), -r, -y))
     return [int(i) for i in order]
 
 
@@ -412,7 +390,7 @@ def save_solution(
     path,
     ids: list[str],
     p: SelectionProblem,
-    y: IndicatorVector,
+    y: np.ndarray,
     trace: SolverTrace,
     init_label: str,
 ) -> list[int]:
@@ -427,7 +405,7 @@ def save_solution(
         "kkt_residual": trace.kkt_residual,
         "objective": objective(p, y),
         "selected": [ids[i] for i in selected],
-        "y": [float(v) for v in y.y],
+        "y": [float(v) for v in y],
     }
     table.write_json(path, payload)
     return selected

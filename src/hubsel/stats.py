@@ -299,8 +299,11 @@ def load_profile_csv(path) -> StatProfile:
     )
 
 
-def save_summary_json(profile: StatProfile, path) -> None:
-    table.write_json(path, summarize(profile))
+def save_summary_json(profile: StatProfile, path) -> dict:
+    """Write :func:`summarize` of ``profile`` as JSON and return that dict."""
+    summary = summarize(profile)
+    table.write_json(path, summary)
+    return summary
 
 
 def save_scatter_csv(profile: StatProfile, path) -> None:

@@ -241,7 +241,7 @@ class TestAnalyze:
             assert np.isfinite(profile.lid.lids).all() and not profile.lid.degenerate.any()
             assert np.isfinite(profile.diversity.values).all()
             assert (profile.diversity.values > 0).all()
-        graph = tmp_path / "graph.csv"
+        graph = tmp_path / "graph.npz"
         assert cli.main(
             ["knn", str(feat), "--k", "5", "--metric", "euclidean", "--out", str(graph)]
         ) == 0

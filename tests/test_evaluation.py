@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hubsel.evaluation import (
+    RUN_HEADER,
     Ranking,
     average_precision_at_k,
     baseline_rank,
@@ -260,18 +261,19 @@ class TestFiles:
 
     def test_run_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "run.csv"
-        path.write_text("query_id,rank,item_id\nq1,1,a\nq1,3,b\n")
-        with pytest.raises(ValueError, match="rank"):
+        path.write_text(f"{RUN_HEADER}\nq1,1,a\nq1,3,b\n")
+        with pytest.raises(ValueError, match="ranks for query 'q1' are not contiguous from 1"):
             load_run(path)
 
-    @pytest.mark.parametrize("loader, text", [
-        (load_run, "query_id,rank,fragment_id\nq1,1,a\nq1,x,b\n"),
-        (load_scores, "fragment_id,score\na,1\nb,abc\n"),
-    ], ids=["run rank", "score"])
-    def test_unparsable_field_names_path_and_row(self, tmp_path, loader, text):
+    @pytest.mark.parametrize("loader, text, detail", [
+        (load_run, "query_id,rank,fragment_id\nq1,1,a\nq1,x,b\n", "invalid literal"),
+        (load_scores, "fragment_id,score\na,1\nb,abc\n", "could not convert"),
+        (load_scores, "fragment_id,score\na,1\na,15\n", "repeated fragment id 'a'"),
+    ], ids=["run rank", "score", "score repeated id"])
+    def test_unparsable_field_names_path_and_row(self, tmp_path, loader, text, detail):
         path = tmp_path / "table.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3: {detail}"):
             loader(path)
 
     def test_report_json(self, tmp_path):

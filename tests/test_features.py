@@ -47,7 +47,7 @@ class TestCsv:
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "a.csv", "")
-        with pytest.raises(FeatureFormatError, match="empty"):
+        with pytest.raises(FeatureFormatError, match=": empty feature file$"):
             load_features(p)
 
     def test_missing_file_is_oserror(self, tmp_path):
@@ -75,7 +75,7 @@ class TestFbin:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.fbin"
         p.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(FeatureFormatError, match="magic"):
+        with pytest.raises(FeatureFormatError, match=": bad magic "):
             load_features(p)
 
     def test_truncated_values(self, tmp_path):
@@ -83,7 +83,7 @@ class TestFbin:
         save_features(m, tmp_path / "m.fbin")
         raw = (tmp_path / "m.fbin").read_bytes()
         (tmp_path / "cut.fbin").write_bytes(raw[:16])
-        with pytest.raises(FeatureFormatError, match="truncated"):
+        with pytest.raises(FeatureFormatError, match=": truncated value block "):
             load_features(tmp_path / "cut.fbin")
 
     def test_trailing_bytes(self, tmp_path):
@@ -91,7 +91,7 @@ class TestFbin:
         save_features(m, tmp_path / "m.fbin")
         raw = (tmp_path / "m.fbin").read_bytes()
         (tmp_path / "pad.fbin").write_bytes(raw + b"\x00")
-        with pytest.raises(FeatureFormatError, match="trailing"):
+        with pytest.raises(FeatureFormatError, match=": 1 trailing byte"):
             load_features(tmp_path / "pad.fbin")
 
     def test_id_with_comma_rejected(self, tmp_path):
@@ -101,7 +101,7 @@ class TestFbin:
 
     def test_empty_file(self, tmp_path):
         (tmp_path / "m.fbin").write_bytes(b"")
-        with pytest.raises(FeatureFormatError, match="empty"):
+        with pytest.raises(FeatureFormatError, match=": empty feature file$"):
             load_features(tmp_path / "m.fbin")
 
 

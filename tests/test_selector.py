@@ -6,7 +6,6 @@ from hubsel import selector
 from hubsel.features import FeatureMatrix
 from hubsel.neighbors import knn_graph, pairwise_distance
 from hubsel.selector import (
-    IndicatorVector,
     SelectionProblem,
     SolverConfig,
     build_problem,
@@ -175,39 +174,32 @@ class TestObjectiveAndReward:
             fd = (objective(p, up) - objective(p, down)) / (2.0 * eps)
             assert abs(fd - reward(p, y, i)) <= 1e-9
 
-    def test_accepts_indicator_vector(self):
-        p = two_point_problem()
-        v = IndicatorVector(y=np.array([1.0, 1.0]), budget=2)
-        assert objective(p, v) == objective(p, v.y)
-
 
 class TestInits:
     def test_hub_first_topk(self):
         p = SelectionProblem(h=np.array([0.1, 0.9, 0.5]), d_risk=np.zeros(3), a=np.zeros((3, 3)), k=2)
-        assert init_hub_first(p).y.tolist() == [0.0, 1.0, 1.0]
+        assert init_hub_first(p).tolist() == [0.0, 1.0, 1.0]
 
     def test_hub_first_tie_by_index(self):
         p = SelectionProblem(h=np.ones(3), d_risk=np.zeros(3), a=np.zeros((3, 3)), k=2)
-        assert init_hub_first(p).y.tolist() == [1.0, 1.0, 0.0]
+        assert init_hub_first(p).tolist() == [1.0, 1.0, 0.0]
 
     def test_lid_first_argmin(self):
         p = SelectionProblem(h=np.zeros(3), d_risk=np.array([0.3, 0.1, 0.9]), a=np.zeros((3, 3)), k=1)
-        assert init_lid_first(p).y.tolist() == [0.0, 1.0, 0.0]
+        assert init_lid_first(p).tolist() == [0.0, 1.0, 0.0]
 
     def test_lid_first_tie_by_index(self):
         p = SelectionProblem(h=np.zeros(3), d_risk=np.ones(3), a=np.zeros((3, 3)), k=1)
-        assert init_lid_first(p).y.tolist() == [1.0, 0.0, 0.0]
+        assert init_lid_first(p).tolist() == [1.0, 0.0, 0.0]
 
     def test_full_budget(self):
         p = SelectionProblem(h=np.array([1.0, 2.0]), d_risk=np.zeros(2), a=np.zeros((2, 2)), k=2)
-        assert init_hub_first(p).y.tolist() == [1.0, 1.0]
-        assert init_lid_first(p).y.tolist() == [1.0, 1.0]
+        assert init_hub_first(p).tolist() == [1.0, 1.0]
+        assert init_lid_first(p).tolist() == [1.0, 1.0]
 
     def test_uniform_budget(self):
         p = random_selection_problem(np.random.default_rng(12), n=10, k=4)
-        v = init_uniform(p)
-        assert v.y.tolist() == [0.4] * 10
-        v.validate()
+        assert init_uniform(p).tolist() == [0.4] * 10
 
 
 class TestSolve:
@@ -216,7 +208,7 @@ class TestSolve:
         h = np.array([0.9, 0.2, 0.7, 0.4, 0.1])
         p = SelectionProblem(h=h, d_risk=np.zeros(n), a=np.zeros((n, n)), k=2)
         y, trace = solve(p, SolverConfig(init="hub_first"))
-        assert y.y.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]
+        assert y.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]
         assert trace.iterations == 0
         assert trace.converged
 
@@ -226,21 +218,30 @@ class TestSolve:
         p = SelectionProblem(h=h, d_risk=np.zeros(n), a=np.zeros((n, n)), k=2)
         y, trace = solve(p, SolverConfig(init="uniform"))
         assert trace.converged
-        assert np.allclose(y.y, [1.0, 0.0, 1.0, 0.0, 0.0], atol=1e-9, rtol=0)
+        assert np.allclose(y, [1.0, 0.0, 1.0, 0.0, 0.0], atol=1e-9, rtol=0)
         assert set(round_selection(y, p)) == {0, 2}
 
     def test_full_budget_zero_iterations(self):
         p = random_selection_problem(np.random.default_rng(13), n=6, k=6)
         y, trace = solve(p)
-        assert y.y.tolist() == [1.0] * 6
+        assert y.tolist() == [1.0] * 6
         assert trace.iterations == 0
         assert trace.converged
         assert trace.kkt_residual == 0.0
 
     def test_custom_init_validated(self):
         p = random_selection_problem(np.random.default_rng(14), n=5, k=2)
-        with pytest.raises(ValueError, match="budget"):
-            solve(p, SolverConfig(init=np.array([1.0, 1.0, 1.0, 0.0, 0.0])))
+        rejected = {
+            r"budget violated: sum\(y\) = 3\.0, expected 2": [1.0, 1.0, 1.0, 0.0, 0.0],
+            "y outside the unit box": [1.5, 0.5, 0.0, 0.0, 0.0],
+            r"custom init has shape \(4,\), expected \(5,\)": [1.0, 1.0, 0.0, 0.0],
+        }
+        for match, init in rejected.items():
+            with pytest.raises(ValueError, match=match):
+                solve(p, SolverConfig(init=np.array(init)))
+        start = np.array([0.5, 0.5, 1.0, 0.0, 0.0])
+        y, _ = solve(p, SolverConfig(init=start, max_iterations=1))
+        assert y is not start and start.tolist() == [0.5, 0.5, 1.0, 0.0, 0.0]
 
     def test_unknown_init(self):
         p = random_selection_problem(np.random.default_rng(15))
@@ -259,7 +260,8 @@ class TestSolve:
         for _ in range(10):
             p = random_selection_problem(rng)
             y, trace = solve(p, SolverConfig(init=init, step_rule=step_rule))
-            y.validate()
+            assert abs(float(y.sum()) - p.k) <= 1e-9
+            assert y.min() >= -1e-9 and y.max() <= 1.0 + 1e-9
             diffs = np.diff(trace.objective_per_iteration)
             assert (diffs >= -1e-12).all()
             assert trace.max_budget_drift <= 1e-9
@@ -321,7 +323,7 @@ class TestSolve:
             csr = SelectionProblem(h=h, d_risk=d, a=sparse.csr_matrix(a), k=k)
             cfg = SolverConfig(init=init, step_rule=step_rule)
             (y1, t1), (y2, t2) = solve(dense, cfg), solve(csr, cfg)
-            assert np.array_equal(y1.y, y2.y)
+            assert np.array_equal(y1, y2)
             assert t1.updates == t2.updates
             assert t1.objective_per_iteration == t2.objective_per_iteration
             assert objective(dense, y1) == pytest.approx(objective(csr, y2), abs=1e-12)
@@ -337,7 +339,7 @@ class TestSolve:
                 max_iterations=(1, 2, None)[trial % 3],
             )
             y, trace = solve(p, cfg)
-            z = selector._initial_vector(p, cfg).y
+            z = selector._initial_vector(p, cfg)
             lo, hi, drift = float(z.min()), float(z.max()), abs(float(z.sum()) - p.k)
             for _, j, i, alpha in trace.updates:
                 cap_j, cap_i = float(z[j]), 1.0 - float(z[i])
@@ -345,7 +347,7 @@ class TestSolve:
                 z[i] = 1.0 if alpha >= cap_i else z[i] + alpha
                 lo, hi = min(lo, float(z.min())), max(hi, float(z.max()))
                 drift = max(drift, abs(float(z.sum()) - p.k))
-            assert np.array_equal(z, y.y)
+            assert np.array_equal(z, y)
             assert (trace.y_min, trace.y_max, trace.max_budget_drift) == (lo, hi, drift)
 
     def test_scale_shift_keeps_selection(self):
@@ -362,13 +364,11 @@ class TestSolve:
 class TestKkt:
     def test_zero_at_full_budget(self):
         p = random_selection_problem(np.random.default_rng(23), n=5, k=5)
-        v = IndicatorVector(y=np.ones(5), budget=5)
-        assert kkt_residual(p, v) == 0.0
+        assert kkt_residual(p, np.ones(5)) == 0.0
 
     def test_positive_at_uniform_heterogeneous(self):
         p = random_selection_problem(np.random.default_rng(24), n=6, k=2)
-        v = IndicatorVector(y=np.full(6, 2.0 / 6.0), budget=2)
-        assert kkt_residual(p, v) > 0.0
+        assert kkt_residual(p, np.full(6, 2.0 / 6.0)) > 0.0
 
     def test_small_at_separable_optimum(self):
         # with A = 0 the enumeration optimum is a KKT point
@@ -378,7 +378,7 @@ class TestKkt:
         _, bset = best_subset(h, d, np.zeros((4, 4)), 2)
         y = np.zeros(4)
         y[list(bset)] = 1.0
-        assert kkt_residual(p, IndicatorVector(y=y, budget=2)) <= 1e-6
+        assert kkt_residual(p, y) <= 1e-6
 
     def test_matches_per_set_reference(self):
         # reference: the residual taken separately over the entries at 0,
