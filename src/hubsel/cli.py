@@ -27,9 +27,10 @@ _AFFINITY_NAMES = {"dense": "dense", "knn-sparse": "knn_sparse"}
 def _checked_graph_k(args) -> int:
     """Check the count options a command has; return the width of the one
     kNN graph that serves hubness, LID and, on analyze, diversity."""
-    counts = {name: getattr(args, name, 1) for name in ("k_hub", "n_lid", "m_div", "threads")}
+    names = ("k_hub", "n_lid", "m_div", "threads", "max_iter")
+    counts = {name: getattr(args, name, 1) for name in names}
     for name, value in counts.items():
-        if value < 1:
+        if value is not None and value < 1:  # max_iter may be None: 10 n
             raise ValueError(f"{name.replace('_', '-')} must be positive")
     return max(counts["k_hub"], counts["n_lid"] + 1, counts["m_div"])
 

@@ -203,7 +203,10 @@ def load_run(path) -> list[Ranking]:
         rows = sorted(per_query[qid])
         if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: ranks for query '{qid}' are not contiguous from 1")
-        rankings.append(Ranking(query_id=qid, items=[fid for _, fid in rows]))
+        try:
+            rankings.append(Ranking(query_id=qid, items=[fid for _, fid in rows]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return rankings
 
 

@@ -12,7 +12,6 @@ which the ``.npz`` graph cache drops.
 
 from __future__ import annotations
 
-import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,24 @@ FBIN_MAGIC = b"HLF1"
 
 class FeatureFormatError(ValueError):
     """A feature file violates its declared format."""
+
+
+def _first_fault(ids: list[str], values: np.ndarray) -> tuple[int, str] | None:
+    """(index, fault) of the first row whose id breaks the table dialect or
+    repeats an earlier one, or whose values are not all finite; else None."""
+    finite = np.isfinite(values).all(axis=1)
+    seen: set[str] = set()
+    for row, ident in enumerate(ids):
+        try:
+            table.check_id(ident, "id")
+        except ValueError as exc:
+            return row, str(exc)
+        if ident in seen:
+            return row, f"duplicate id '{ident}'"
+        if not finite[row]:
+            return row, "non-finite value"
+        seen.add(ident)
+    return None
 
 
 @dataclass
@@ -53,12 +70,8 @@ class FeatureMatrix:
             raise ValueError(f"need at least one row and one column, got {n}x{d}")
         if len(self.ids) != n:
             raise ValueError(f"{len(self.ids)} ids for {n} rows")
-        if len(set(self.ids)) != n:
-            raise ValueError("fragment ids must be unique")
-        for row, ident in enumerate(self.ids, start=1):
-            table.check_id(ident, f"row {row}: id")
-        if not np.isfinite(self.values).all():
-            raise ValueError("feature values must be finite")
+        if fault := _first_fault(self.ids, self.values):
+            raise ValueError(f"row {fault[0] + 1}: {fault[1]}")
 
     @property
     def n(self) -> int:
@@ -91,20 +104,25 @@ def load_features(path) -> FeatureMatrix:
     Raises
     ------
     FeatureFormatError
-        On malformed rows, non-finite values, duplicate ids, or an empty
-        file, each reported with the offending row number.
+        On an empty file, a malformed row, a bad or duplicate id, or a
+        non-finite value, naming the path and the line (blank lines count;
+        the row in fbin). Any parse fault is named before id or value faults.
     OSError
         If the file cannot be read.
     """
-    if _is_csv(path):
-        return _load_csv(path)
-    return _load_fbin(path)
+    ids, values, lines = _load_csv(path) if _is_csv(path) else _load_fbin(path)
+    try:
+        return FeatureMatrix(ids=ids, values=values)
+    except ValueError:
+        # the loaders leave only row faults to find; name the row's line
+        row, fault = _first_fault(ids, values)
+        raise FeatureFormatError(f"{path}: row {lines[row]}: {fault}") from None
 
 
-def _load_csv(path) -> FeatureMatrix:
+def _load_csv(path) -> tuple[list[str], np.ndarray, list[int]]:
     ids: list[str] = []
     rows: list[list[float]] = []
-    seen: set[str] = set()
+    lines: list[int] = []
     d = None
     for lineno, (ident, *tokens) in table.read_rows(path):
         if not tokens:
@@ -117,28 +135,18 @@ def _load_csv(path) -> FeatureMatrix:
             raise FeatureFormatError(
                 f"{path}: row {lineno}: expected {d} values, got {len(tokens)}"
             )
-        if ident in seen:
-            raise FeatureFormatError(f"{path}: row {lineno}: duplicate id '{ident}'")
-        seen.add(ident)
-        vals = []
-        for tok in tokens:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise FeatureFormatError(
-                    f"{path}: row {lineno}: invalid numeric value '{tok}'"
-                ) from None
-            if not math.isfinite(v):
-                raise FeatureFormatError(f"{path}: row {lineno}: non-finite value '{tok}'")
-            vals.append(v)
+        try:
+            rows.append(list(map(float, tokens)))
+        except ValueError as exc:
+            raise FeatureFormatError(f"{path}: row {lineno}: {exc}") from None
         ids.append(ident)
-        rows.append(vals)
+        lines.append(lineno)
     if not ids:
         raise FeatureFormatError(f"{path}: empty feature file")
-    return FeatureMatrix(ids=ids, values=np.array(rows, dtype=np.float64))
+    return ids, np.array(rows, dtype=np.float64), lines
 
 
-def _load_fbin(path) -> FeatureMatrix:
+def _load_fbin(path) -> tuple[list[str], np.ndarray, range]:
     data = Path(path).read_bytes()
     if len(data) == 0:
         raise FeatureFormatError(f"{path}: empty feature file")
@@ -152,16 +160,8 @@ def _load_fbin(path) -> FeatureMatrix:
     body = 12 + n * d * 4
     if len(data) < body:
         raise FeatureFormatError(f"{path}: truncated value block ({len(data)} of {body} bytes)")
-    values = (
-        np.frombuffer(data, dtype="<f4", count=n * d, offset=12)
-        .astype(np.float64)
-        .reshape(n, d)
-    )
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise FeatureFormatError(f"{path}: row {bad[0] + 1}: non-finite value")
+    values = np.frombuffer(data, dtype="<f4", count=n * d, offset=12).reshape(n, d)
     ids: list[str] = []
-    seen: set[str] = set()
     off = body
     for row in range(n):
         if off + 2 > len(data):
@@ -170,15 +170,11 @@ def _load_fbin(path) -> FeatureMatrix:
         off += 2
         if off + ln > len(data):
             raise FeatureFormatError(f"{path}: row {row + 1}: truncated id block")
-        ident = data[off : off + ln].decode("utf-8")
+        ids.append(data[off : off + ln].decode("utf-8"))
         off += ln
-        if ident in seen:
-            raise FeatureFormatError(f"{path}: row {row + 1}: duplicate id '{ident}'")
-        seen.add(ident)
-        ids.append(ident)
     if off != len(data):
         raise FeatureFormatError(f"{path}: {len(data) - off} trailing byte(s)")
-    return FeatureMatrix(ids=ids, values=values)
+    return ids, values, range(1, n + 1)
 
 
 def save_features(m: FeatureMatrix, path) -> None:

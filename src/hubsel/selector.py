@@ -26,6 +26,8 @@ import numpy as np
 from hubsel import table
 from hubsel.neighbors import NeighborGraph, _check_metric, check_cosine_rows, distance_matrix
 
+TOLERANCE = 1e-9  # y this close to 0 or 1 is at the box; a reward gap this small, no gain
+
 
 @dataclass
 class SelectionProblem:
@@ -58,7 +60,6 @@ class SelectionProblem:
 class SolverConfig:
     init: object = "hub_first"  # hub_first | lid_first | uniform | ndarray
     max_iterations: int | None = None  # default 10 n
-    tolerance: float = 1e-9
     step_rule: str = "derived"  # derived | paper
 
 
@@ -265,9 +266,9 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     direction, where eta = r_i - r_j and sigma = A_ii + A_jj - 2 A_ij;
     when sigma >= 0 the objective is convex along the direction and the
     full box step is taken. The ``paper`` rule uses twice that step,
-    which lands on the same objective level it started from; when such a
-    step makes no progress and is not box-limited the run stops with
-    ``converged = False`` since the update direction cannot improve.
+    which lands on the same objective level it started from; so when
+    sigma < 0 and that full step fits the box, the paper rule stops
+    before moving, with ``converged = False``, rather than cycle.
 
     Returns
     -------
@@ -278,7 +279,6 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     if cfg.step_rule not in ("derived", "paper"):
         raise ValueError(f"unknown step rule '{cfg.step_rule}'")
-    tol = cfg.tolerance
     k = p.k
     n = p.n
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
@@ -296,15 +296,15 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     converged = False
 
     for _ in range(max_iter):
-        recv = y < 1.0 - tol
-        don = y > tol
+        recv = y < 1.0 - TOLERANCE
+        don = y > TOLERANCE
         if not recv.any() or not don.any():
             converged = True
             break
         i = int(np.argmax(np.where(recv, r, -np.inf)))
         j = int(np.argmin(np.where(don, r, np.inf)))
         eta = float(r[i] - r[j])
-        if eta <= tol:
+        if eta <= TOLERANCE:
             converged = True
             break
         cap_j, cap_i = float(y[j]), 1.0 - float(y[i])
@@ -315,13 +315,11 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
             alpha = box
         else:
             span = denom * eta / (-sigma)
-            step = span / 2.0 if cfg.step_rule == "derived" else span
-            alpha = min(box, step)
+            if cfg.step_rule == "paper" and span <= box:
+                # the full paper step would gain nothing: stop, not cycle
+                break
+            alpha = min(box, span / 2.0 if cfg.step_rule == "derived" else span)
         gain = eta * alpha + sigma * alpha * alpha / denom
-        if gain <= 0.0 and alpha < box:
-            # the step lands back on its own level set; no progress is
-            # possible along this direction, stop rather than cycle
-            break
 
         # snap to the box exactly so the budget cannot drift
         y[j] = 0.0 if alpha >= cap_j else y[j] - alpha
@@ -339,7 +337,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     trace = SolverTrace(
         objective_per_iteration=objs,
         iterations=len(updates),
-        kkt_residual=kkt_residual(p, y, tol),
+        kkt_residual=kkt_residual(p, y),
         converged=converged,
         updates=updates,
         max_budget_drift=drift,
@@ -349,7 +347,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     return y, trace
 
 
-def kkt_residual(p: SelectionProblem, y: np.ndarray, tol: float = 1e-9) -> float:
+def kkt_residual(p: SelectionProblem, y: np.ndarray) -> float:
     """Stationarity violation of y for the box-and-budget constraints.
 
     The multiplier is estimated as the midpoint between the largest
@@ -359,8 +357,8 @@ def kkt_residual(p: SelectionProblem, y: np.ndarray, tol: float = 1e-9) -> float
     the largest violation, 0 when either candidate set is empty.
     """
     r = rewards(p, y)
-    below = y < 1.0 - tol
-    above = y > tol
+    below = y < 1.0 - TOLERANCE
+    above = y > TOLERANCE
     if not below.any() or not above.any():
         return 0.0
     lam = 0.5 * (float(r[below].max()) + float(r[above].min()))

@@ -322,6 +322,31 @@ class TestSelect:
         assert payload["converged"] is False
         assert payload["iterations"] <= 1
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_iteration_cap_below_one_exits_1(self, workspace, tmp_path, capsys, max_iter):
+        args = self.select_args(workspace, tmp_path, 5, ["--max-iter", max_iter])
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: max-iter must be positive\n"
+        assert not (tmp_path / "solution.json").exists()
+
+    def test_paper_step_stops_instead_of_cycling(self, tmp_path):
+        """Here the full paper step fits the box after 4 updates; without
+        the stop, rows 3 and 15 swap until the 10 n iteration cap."""
+        m = features.FeatureMatrix(
+            ids=[f"f{i}" for i in range(30)],
+            values=np.random.default_rng(14).normal(1, 1, (30, 4)),
+        )
+        feat, out = tmp_path / "cyc.csv", tmp_path / "solution.json"
+        features.save_features(m, feat)
+        assert cli.main([
+            "select", str(feat), "--k", "4", "--k-hub", "5", "--n-lid", "10",
+            "--metric", "euclidean", "--step", "paper", "--out", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["iterations"], payload["converged"]) == (4, False)
+        assert payload["selected"] == ["f2", "f0", "f9", "f3"]
+        assert payload["objective"] == pytest.approx(4.284476395906949, abs=1e-12)
+
     def test_budget_one_needs_linear(self, workspace, tmp_path, capsys):
         out = tmp_path / "solution.json"
         args = ["select", str(workspace["features"]), "--k", "1", "--out", str(out)]
@@ -634,6 +659,47 @@ class TestEval:
         code = cli.main(["eval", "--run", str(tmp_path / "absent.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+_DIALECT = "contains ',', '\\r', '\\n' or '\\x00'"
+
+
+@pytest.mark.parametrize("name, content, command, fault", [
+    ("bad.csv", "a,1.0\nb\x00,2.0\n", "select", f"row 2: id 'b\\x00' {_DIALECT}"),
+    ("bad.csv", "a,1.0\n\nb,2.0\na,3.0\n", "select", "row 4: duplicate id 'a'"),
+    ("bad.csv", "a,1.0\nb,inf\n", "select", "row 2: non-finite value"),
+    ("bad.csv", "a,1.0\nb,oops\n", "select",
+     "row 2: could not convert string to float: 'oops'"),
+    ("bad.fbin", (["a", "b", "a"], np.eye(3)), "select", "row 3: duplicate id 'a'"),
+    ("bad.fbin", (["a", "b", "c"], [[1, 0], [np.inf, 0], [0, 1]]), "select",
+     "row 2: non-finite value"),
+    ("bad.fbin", (["a", "b,c"], np.eye(2)), "select", f"row 2: id 'b,c' {_DIALECT}"),
+    ("bad.csv", "a,1.0\nb\x00,2.0\nc,3.0\n", "fuse", f"row 2: id 'b\\x00' {_DIALECT}"),
+    ("run.csv", "q1,1,a\nq1,2,a\n", "eval", "duplicate item 'a' in ranking 'q1'"),
+    ("run.csv", "q\x00,1,a\n", "eval", f"query id 'q\\x00' {_DIALECT}"),
+], ids=[
+    "csv id with NUL", "csv duplicate after blank line", "csv inf", "csv bad token",
+    "fbin duplicate", "fbin non-finite", "fbin id with comma", "fuse second file",
+    "run duplicate item", "run query id with NUL",
+])
+def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command, fault):
+    """One line, ``error: <path>: <fault>``, exit 1 and no traceback; the
+    fault names the file line (blank lines count) where it has one."""
+    bad = tmp_path / name
+    if isinstance(content, str):
+        bad.write_text(content, encoding="utf-8")
+    else:
+        write_fbin(bad, *content)
+    good = tmp_path / "good.csv"
+    good.write_text("a,1.0\nb,2.0\nc,3.0\n")
+    out = str(tmp_path / "out.json")
+    argv = {
+        "select": ["select", str(bad), "--k", "2", "--out", out],
+        "fuse": ["fuse", str(good), str(bad), "--out", str(tmp_path / "fused.csv")],
+        "eval": ["eval", "--run", str(bad)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
 
 
 def test_out_of_memory_exits_1(workspace, tmp_path, monkeypatch, capsys):

@@ -107,7 +107,7 @@ class TestFbin:
 
 class TestMatrixValidation:
     def test_duplicate_ids(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match=r"^row 2: duplicate id 'a'$"):
             FeatureMatrix(ids=["a", "a"], values=np.ones((2, 2)))
 
     def test_non_finite(self):
