@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hubsel import evaluation, features, neighbors, selector, stats
 
 _INIT_NAMES = {"hub-first": "hub_first", "lid-first": "lid_first", "uniform": "uniform"}
@@ -39,24 +41,66 @@ def _build_graph(m, args) -> neighbors.NeighborGraph:
     return neighbors.knn_graph(m, min(_checked_graph_k(args), m.n - 1), metric=args.metric)
 
 
-def _cached_graph(m, args, out_dir: Path) -> neighbors.NeighborGraph:
-    """The graph of ``args.features``, from the cache in ``out_dir`` when it
-    reads back; a missing or damaged cache is (re)built and replaced."""
-    digest = hashlib.sha256(Path(args.features).read_bytes()).hexdigest()[:12]
-    kmax = min(_checked_graph_k(args), m.n - 1)
-    cache = out_dir / f"graph_{digest}_{args.metric}_k{kmax}.npz"
-    if cache.exists():
-        try:
-            return neighbors.load_graph(cache, m.ids, args.metric)
-        except ValueError:
-            pass
-    g = _build_graph(m, args)
+# the members of the graph cache that a hit reads besides the graph: the
+# ids, the key of the feature bytes (SHA-256 and format) that the graph and
+# the diversity were derived from, and the diversity with the width it used
+_CACHE_MEMBERS = ("ids", "sha256", "format", "diversity_width", "diversity")
+
+
+def _read_cache(cache: Path, digest: str, fmt: str, args):
+    """``(ids, graph, diversity)`` from the cache at ``cache``: all None
+    unless it holds a usable graph of the feature bytes with this SHA-256
+    and format, the diversity alone None when its width is another one."""
+    miss = None, None, None
+    if not cache.exists():
+        return miss
+    try:
+        stored = neighbors.load_members(cache, _CACHE_MEMBERS)
+        key = (stored["sha256"].tolist(), stored["format"].tolist())
+        if key != (digest, fmt) or stored["ids"].ndim != 1:
+            return miss
+        ids = stored["ids"].tolist()
+        g = neighbors.load_graph(cache, ids, args.metric)  # dtypes, shapes, index range
+    except ValueError:
+        return miss
+    div = stored["diversity"]
+    usable = div.dtype == np.float64 and div.shape == (g.n,) and np.isfinite(div).all()
+    if not usable or features.first_fault(ids):
+        return miss
+    if stored["diversity_width"].tolist() != min(args.m_div, g.k):
+        return ids, g, None
+    return ids, g, div
+
+
+def _profile(args, out_dir: Path) -> stats.StatProfile:
+    """The profile of ``args.features``, served by the cache in ``out_dir``
+    when it holds the graph and diversity of these feature bytes, so a hit
+    parses no features and computes no diversity. A cache whose diversity
+    has another width gets it recomputed on its graph; a missing or
+    unusable one is rebuilt. Either is replaced."""
+    fmt = features.feature_format(args.features)  # a bad suffix fails before the lookup
+    digest = hashlib.sha256(Path(args.features).read_bytes()).hexdigest()
+    cache = out_dir / f"graph_{digest[:12]}_{args.metric}_k{_checked_graph_k(args)}.npz"
+    ids, g, div = _read_cache(cache, digest, fmt, args)
+    if div is not None:
+        hub, lid = stats.hubness_and_lid(g, args.k_hub, args.n_lid)
+        return stats.StatProfile(ids, hub, lid, stats.DiversityProfile(args.m_div, div))
+    m = features.load_features(args.features)
+    if g is None or ids != m.ids:
+        g = _build_graph(m, args)
+    profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
+    members = {
+        "sha256": np.array(digest),
+        "format": np.array(fmt),
+        "diversity_width": np.array(min(args.m_div, g.k), dtype=np.int64),
+        "diversity": profile.diversity.values,
+    }
     # written aside, then renamed, so a killed run leaves no partial cache;
     # the name keeps the suffix that selects the format
     partial = cache.with_suffix(".partial.npz")
-    neighbors.save_graph(g, m.ids, partial)
+    neighbors.save_graph(g, m.ids, partial, members)
     os.replace(partial, cache)
-    return g
+    return profile
 
 
 def cmd_fuse(args) -> int:
@@ -80,9 +124,7 @@ def cmd_knn(args) -> int:
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m = features.load_features(args.features)
-    g = _cached_graph(m, args, out_dir)
-    profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
+    profile = _profile(args, out_dir)
     stats.save_profile_csv(profile, out_dir / "profile.csv")
     summary = stats.save_summary_json(profile, out_dir / "summary.json")
     stats.save_scatter_csv(profile, out_dir / "scatter.csv")

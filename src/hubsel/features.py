@@ -28,10 +28,11 @@ class FeatureFormatError(ValueError):
     """A feature file violates its declared format."""
 
 
-def _first_fault(ids: list[str], values: np.ndarray) -> tuple[int, str] | None:
+def first_fault(ids: list[str], values: np.ndarray | None = None) -> tuple[int, str] | None:
     """(index, fault) of the first row whose id breaks the table dialect or
-    repeats an earlier one, or whose values are not all finite; else None."""
-    finite = np.isfinite(values).all(axis=1)
+    repeats an earlier one, or whose values, when given, are not all
+    finite; else None."""
+    finite = None if values is None else np.isfinite(values).all(axis=1)
     seen: set[str] = set()
     for row, ident in enumerate(ids):
         try:
@@ -40,7 +41,7 @@ def _first_fault(ids: list[str], values: np.ndarray) -> tuple[int, str] | None:
             return row, str(exc)
         if ident in seen:
             return row, f"duplicate id '{ident}'"
-        if not finite[row]:
+        if finite is not None and not finite[row]:
             return row, "non-finite value"
         seen.add(ident)
     return None
@@ -70,7 +71,7 @@ class FeatureMatrix:
             raise ValueError(f"need at least one row and one column, got {n}x{d}")
         if len(self.ids) != n:
             raise ValueError(f"{len(self.ids)} ids for {n} rows")
-        if fault := _first_fault(self.ids, self.values):
+        if fault := first_fault(self.ids, self.values):
             raise ValueError(f"row {fault[0] + 1}: {fault[1]}")
 
     @property
@@ -82,11 +83,12 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _is_csv(path) -> bool:
+def feature_format(path) -> str:
+    """``'csv'`` or ``'fbin'``, the format the suffix of ``path`` names."""
     suffix = Path(path).suffix.lower()
     if suffix not in (".csv", ".fbin"):
         raise ValueError(f"cannot infer feature format from '{path}', expected .csv or .fbin")
-    return suffix == ".csv"
+    return suffix[1:]
 
 
 def load_features(path) -> FeatureMatrix:
@@ -104,18 +106,25 @@ def load_features(path) -> FeatureMatrix:
     Raises
     ------
     FeatureFormatError
-        On an empty file, a malformed row, a bad or duplicate id, or a
-        non-finite value, naming the path and the line (blank lines count;
-        the row in fbin). Any parse fault is named before id or value faults.
+        On an empty file, a malformed row, text that is not UTF-8, a bad or
+        duplicate id, or a non-finite value, naming the path and the line
+        (blank lines count; the row in fbin). Any parse fault is named
+        before id or value faults.
     OSError
         If the file cannot be read.
     """
-    ids, values, lines = _load_csv(path) if _is_csv(path) else _load_fbin(path)
+    load = _load_csv if feature_format(path) == "csv" else _load_fbin
+    try:
+        ids, values, lines = load(path)
+    except FeatureFormatError:
+        raise
+    except ValueError as exc:  # from table.read_rows: a line that is not UTF-8
+        raise FeatureFormatError(str(exc)) from None
     try:
         return FeatureMatrix(ids=ids, values=values)
     except ValueError:
         # the loaders leave only row faults to find; name the row's line
-        row, fault = _first_fault(ids, values)
+        row, fault = first_fault(ids, values)
         raise FeatureFormatError(f"{path}: row {lines[row]}: {fault}") from None
 
 
@@ -170,7 +179,10 @@ def _load_fbin(path) -> tuple[list[str], np.ndarray, range]:
         off += 2
         if off + ln > len(data):
             raise FeatureFormatError(f"{path}: row {row + 1}: truncated id block")
-        ids.append(data[off : off + ln].decode("utf-8"))
+        try:
+            ids.append(data[off : off + ln].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FeatureFormatError(f"{path}: row {row + 1}: id is not valid UTF-8") from None
         off += ln
     if off != len(data):
         raise FeatureFormatError(f"{path}: {len(data) - off} trailing byte(s)")
@@ -179,7 +191,7 @@ def _load_fbin(path) -> tuple[list[str], np.ndarray, range]:
 
 def save_features(m: FeatureMatrix, path) -> None:
     """Write ``m`` to ``path`` in CSV or fbin format (inferred from suffix)."""
-    if _is_csv(path):
+    if feature_format(path) == "csv":
         rows = ([ident, *map(repr, row)] for ident, row in zip(m.ids, m.values.tolist()))
         table.write_rows(path, rows)
     else:

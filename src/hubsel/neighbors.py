@@ -303,29 +303,32 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
 
 GRAPH_HEADER = "query_id,rank,neighbor_id,distance"
 
-_NPZ_MEMBERS = ("ids", "indices", "distances")
+_NPZ_MEMBERS = ("ids", "indices", "distances")  # a graph; an archive may hold more
 
 
 def _is_npz(path) -> bool:
     return Path(path).suffix.lower() == ".npz"
 
 
-def save_graph(g: NeighborGraph, ids: list[str], path) -> None:
+def save_graph(g: NeighborGraph, ids: list[str], path, members=None) -> None:
     """Write a graph to ``path``; the suffix names the format.
 
     ``.npz``: an uncompressed archive of the arrays ``ids`` (unicode),
-    ``indices`` (int64) and ``distances`` (float64), both (n, k), written
-    with fixed member timestamps so equal graphs give equal bytes;
-    :func:`load_graph` reads it back bit-identical. Any other suffix: CSV
-    rows ``query_id,rank,neighbor_id,distance`` with ranks from 1 and
+    ``indices`` (int64) and ``distances`` (float64), both (n, k), then
+    the arrays of the ``members`` mapping under their names, written
+    with fixed member timestamps so equal inputs give equal bytes;
+    :func:`load_graph` reads the graph back bit-identical and
+    :func:`load_members` any member. Any other suffix: CSV rows
+    ``query_id,rank,neighbor_id,distance`` with ranks from 1 and
     distances at full round-trip precision, an export that no hubsel
-    command reads back.
+    command reads back, without ``members``.
     """
     if _is_npz(path):
         # np.savez stamps each member with the current time
-        arrays = (np.array(ids, dtype=str), g.indices, g.distances)
+        arrays = {"ids": np.array(ids, dtype=str), "indices": g.indices,
+                  "distances": g.distances, **(members or {})}
         with zipfile.ZipFile(path, "w") as zf:
-            for name, arr in zip(_NPZ_MEMBERS, arrays):
+            for name, arr in arrays.items():
                 with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as f:
                     np.lib.format.write_array(f, arr, allow_pickle=False)
         return
@@ -347,6 +350,26 @@ _ARCHIVE_DAMAGE = (
 )
 
 
+def load_members(path, names) -> dict[str, np.ndarray]:
+    """The named members of the ``.npz`` archive at ``path``, by name.
+
+    A path whose suffix is not ``.npz`` raises ``ValueError`` before the
+    file is opened, and so does, once it is, an archive that is damaged,
+    lacks a named member or stores one that needs pickle.
+    """
+    if not _is_npz(path):
+        raise ValueError(f"{path}: not a .npz graph archive")
+    with open(path, "rb") as fh:  # a file that cannot be opened is an I/O error
+        try:
+            z = np.load(fh, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            with z:
+                return {name: z[name] for name in names}
+        except _ARCHIVE_DAMAGE as exc:
+            raise ValueError(f"{path}: not a readable graph archive ({exc!r})") from exc
+
+
 def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
     """Reload a graph that :func:`save_graph` wrote to a ``.npz`` path.
 
@@ -358,17 +381,7 @@ def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
     ``ValueError``.
     """
     _check_metric(metric)
-    if not _is_npz(path):
-        raise ValueError(f"{path}: not a .npz graph archive")
-    with open(path, "rb") as fh:  # a file that cannot be opened is an I/O error
-        try:
-            z = np.load(fh, allow_pickle=False)
-            if not isinstance(z, np.lib.npyio.NpzFile):
-                raise ValueError("a single array")
-            with z:
-                stored, indices, distances = (z[name] for name in _NPZ_MEMBERS)
-        except _ARCHIVE_DAMAGE as exc:
-            raise ValueError(f"{path}: not a readable graph archive ({exc!r})") from exc
+    stored, indices, distances = load_members(path, _NPZ_MEMBERS).values()
     n = len(ids)
     if stored.dtype.kind != "U" or stored.tolist() != list(ids):
         raise ValueError(f"{path}: stored ids differ from the collection's")

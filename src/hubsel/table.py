@@ -22,11 +22,19 @@ def check_id(ident: str, what: str) -> None:
 def read_rows(path, fields: int | None = None, header: str | None = None):
     """Yield ``(lineno, parts)`` for every data row of the table at ``path``.
 
-    With ``fields`` given, a row of any other width raises ValueError
-    naming the path and the row; without it the caller checks widths.
+    A line that is not valid UTF-8 raises ValueError naming the path and
+    the row. With ``fields`` given, a row of any other width does too;
+    without it the caller checks widths.
     """
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes come through as lone surrogates, found line by line
+    # so the error can name the row; an ASCII line can hold none
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}: row {lineno}: not valid UTF-8") from None
             line = line.rstrip("\r\n")
             if not line.strip() or (lineno == 1 and line == header):
                 continue

@@ -1,7 +1,9 @@
 """End-to-end checks of the command line, driving ``cli.main`` directly."""
 
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -157,7 +159,10 @@ class TestAnalyze:
         assert [p.name for p in out.glob("graph_*")] == [cache.name]
 
     @pytest.mark.parametrize(
-        "damage", ["other ids", "pickled ids", "index out of range", "shape", "dtype"]
+        "damage", ["other ids", "pickled ids", "index out of range", "shape", "dtype",
+                   "diversity length", "non-finite diversity", "other digest",
+                   "other format", "parent format", "id with comma", "repeated id",
+                   "2-D ids"]
     )
     def test_unusable_cache_is_rebuilt(self, workspace, tmp_path, damage):
         feat = workspace["features"]
@@ -183,8 +188,24 @@ class TestAnalyze:
                 arrays["indices"][3, 1] = len(arrays["ids"])
             elif damage == "shape":
                 arrays["distances"] = arrays["distances"][:, :-1]
-            else:
+            elif damage == "dtype":
                 arrays["distances"] = arrays["distances"].astype(np.float32)
+            elif damage == "diversity length":
+                arrays["diversity"] = arrays["diversity"][:-1]
+            elif damage == "non-finite diversity":
+                arrays["diversity"][3] = np.nan
+            elif damage == "other digest":
+                arrays["sha256"] = np.array(hashlib.sha256(b"other").hexdigest())
+            elif damage == "other format":
+                arrays["format"] = np.array("fbin")
+            elif damage == "id with comma":
+                arrays["ids"][0] = "a,b"
+            elif damage == "repeated id":
+                arrays["ids"][1] = arrays["ids"][0]
+            elif damage == "2-D ids":
+                arrays["ids"] = arrays["ids"][:, None]
+            else:  # the graph alone, as archives written before the profile members
+                arrays = {name: arrays[name] for name in ("ids", "indices", "distances")}
             np.savez(cache, **arrays)
         (out / "profile.csv").unlink()
         assert cli.main(["analyze", str(feat), "--out", str(out)]) == 0
@@ -225,6 +246,62 @@ class TestAnalyze:
         assert summary["skewness"] == 0.0
         assert summary["global_id"] is None
 
+    @staticmethod
+    def refuse_parse_and_diversity(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a cache hit parses no features and computes no diversity")
+
+        monkeypatch.setattr(features, "load_features", refused)
+        monkeypatch.setattr(stats, "diversity", refused)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("suffix", ["csv", "fbin"])
+    def test_cache_hit_parses_no_features(
+        self, workspace, tmp_path, monkeypatch, capsys, suffix, metric
+    ):
+        """A hit writes the cold run's bytes from the archive alone; the cache
+        is named by the requested graph width, here above n - 1 = 39."""
+        feat = tmp_path / f"features.{suffix}"
+        features.save_features(workspace["matrix"], feat)
+        out = tmp_path / "out"
+        args = ["analyze", str(feat), "--out", str(out), "--metric", metric]
+        assert cli.main(args) == 0
+        printed = capsys.readouterr().out
+        cold = {p.name: p.read_bytes() for p in out.iterdir()}
+        digest = hashlib.sha256(feat.read_bytes()).hexdigest()
+        assert f"graph_{digest[:12]}_{metric}_k101.npz" in cold
+        self.refuse_parse_and_diversity(monkeypatch)
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == printed
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+
+    def test_m_div_change_reuses_the_cached_graph(self, workspace, tmp_path, monkeypatch):
+        feat = str(workspace["features"])
+        fresh = tmp_path / "fresh"
+        assert cli.main(["analyze", feat, "--out", str(fresh), "--m-div", "5"]) == 0
+        cold = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        out = tmp_path / "out"
+        assert cli.main(["analyze", feat, "--out", str(out)]) == 0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the cached graph serves another diversity width")
+
+        monkeypatch.setattr(neighbors, "knn_graph", refused)
+        for _ in range(2):  # the first run rewrites the cache, the second hits it
+            assert cli.main(["analyze", feat, "--out", str(out), "--m-div", "5"]) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+            self.refuse_parse_and_diversity(monkeypatch)
+
+    def test_two_fragment_collection_hits(self, tmp_path, monkeypatch):
+        feat = tmp_path / "tiny.csv"
+        feat.write_text("a,1.0,0.0\nb,0.0,1.0\n")
+        out = tmp_path / "tiny_out"
+        assert cli.main(["analyze", str(feat), "--out", str(out)]) == 0
+        cold = {p.name: p.read_bytes() for p in out.iterdir()}
+        self.refuse_parse_and_diversity(monkeypatch)
+        assert cli.main(["analyze", str(feat), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+
 
     @pytest.mark.parametrize("scale", [1e200, 1e-300])
     def test_extreme_magnitudes_give_finite_outputs(self, tmp_path, scale):
@@ -247,6 +324,43 @@ class TestAnalyze:
         ) == 0
         g = neighbors.load_graph(graph, m.ids, "euclidean")
         assert np.isfinite(g.distances).all() and (g.distances > 0).all()
+
+
+_REPORT_IMPORTS = """
+import json, sys
+from hubsel import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([code, [m for m in ("scipy.spatial", "scipy.sparse") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("command", ["cached analyze", "eval", "rank hub", "fuse", "help"])
+def test_command_imports_no_scipy(workspace, tmp_path, command):
+    """scipy.spatial and scipy.sparse cost ~0.5 s of start-up, which only a
+    distance, a kNN scan or a selection problem needs."""
+    feat, profile = str(workspace["features"]), str(workspace["analysis"] / "profile.csv")
+    out, run, gt = tmp_path / "out", tmp_path / "run.csv", tmp_path / "gt.csv"
+    if command == "cached analyze":
+        assert cli.main(["analyze", feat, "--out", str(out)]) == 0
+    elif command == "eval":
+        assert cli.main(["rank", "--mode", "hub", "--profiles", profile, "--out", str(run)]) == 0
+        gt.write_text("all,f00003\n")
+    argv = {
+        "cached analyze": ["analyze", feat, "--out", str(out)],
+        "eval": ["eval", "--run", str(run), "--gt", str(gt)],
+        "rank hub": ["rank", "--mode", "hub", "--profiles", profile, "--out", str(run)],
+        "fuse": ["fuse", feat, "--out", str(tmp_path / "fused.csv")],
+        "help": ["--help"],
+    }[command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", _REPORT_IMPORTS, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(child.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_import_loads_no_scipy():
@@ -677,10 +791,16 @@ _DIALECT = "contains ',', '\\r', '\\n' or '\\x00'"
     ("bad.csv", "a,1.0\nb\x00,2.0\nc,3.0\n", "fuse", f"row 2: id 'b\\x00' {_DIALECT}"),
     ("run.csv", "q1,1,a\nq1,2,a\n", "eval", "duplicate item 'a' in ranking 'q1'"),
     ("run.csv", "q\x00,1,a\n", "eval", f"query id 'q\\x00' {_DIALECT}"),
+    ("bad.csv", b"a\xc3\xa9,1.0\n\xff,2.0\n", "select", "row 2: not valid UTF-8"),
+    ("profile.csv", b"id,N_k,category,lid,degenerate,diversity\na,1,normal,2.0,0,0.5\n"
+     b"b\xff,1,normal,2.0,0,0.5\n", "rank", "row 3: not valid UTF-8"),
+    ("bad.fbin", b"HLF1" + struct.pack("<II", 2, 1) + struct.pack("<2f", 1, 2)
+     + b"\x01\x00a\x01\x00\xff", "select", "row 2: id is not valid UTF-8"),
 ], ids=[
     "csv id with NUL", "csv duplicate after blank line", "csv inf", "csv bad token",
     "fbin duplicate", "fbin non-finite", "fbin id with comma", "fuse second file",
     "run duplicate item", "run query id with NUL",
+    "csv not utf-8", "profile not utf-8", "fbin id not utf-8",
 ])
 def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command, fault):
     """One line, ``error: <path>: <fault>``, exit 1 and no traceback; the
@@ -688,6 +808,8 @@ def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command,
     bad = tmp_path / name
     if isinstance(content, str):
         bad.write_text(content, encoding="utf-8")
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
     else:
         write_fbin(bad, *content)
     good = tmp_path / "good.csv"
@@ -697,6 +819,7 @@ def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command,
         "select": ["select", str(bad), "--k", "2", "--out", out],
         "fuse": ["fuse", str(good), str(bad), "--out", str(tmp_path / "fused.csv")],
         "eval": ["eval", "--run", str(bad)],
+        "rank": ["rank", "--mode", "hub", "--profiles", str(bad), "--out", out],
     }[command]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {bad}: {fault}\n"

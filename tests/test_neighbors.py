@@ -15,6 +15,7 @@ from hubsel.neighbors import (
     distance_matrix,
     knn_graph,
     load_graph,
+    load_members,
     pairwise_distance,
     save_graph,
 )
@@ -171,6 +172,26 @@ class TestGraphSerialization:
         first = path.read_bytes()
         save_graph(g, m.ids, path)
         assert path.read_bytes() == first  # no timestamps in the archive
+
+    def test_npz_stores_further_members(self, tmp_path):
+        m = random_matrix(np.random.default_rng(18), 6, 3)
+        g = knn_graph(m, 2, "cosine")
+        members = {"note": np.array("x"), "values": np.linspace(0.0, 1.0, 6)}
+        path = tmp_path / "g.npz"
+        save_graph(g, m.ids, path, members)
+        back = load_graph(path, m.ids, "cosine")
+        assert back.distances.tobytes() == g.distances.tobytes()
+        stored = load_members(path, ("values", "note", "ids"))
+        assert list(stored) == ["values", "note", "ids"]
+        assert stored["values"].tobytes() == members["values"].tobytes()
+        assert stored["note"].tolist() == "x" and stored["ids"].tolist() == m.ids
+        first = path.read_bytes()
+        save_graph(g, m.ids, path, members)
+        assert path.read_bytes() == first
+        with pytest.raises(ValueError, match="KeyError"):
+            load_members(path, ("absent",))
+        with pytest.raises(ValueError, match="not a .npz graph archive"):
+            load_members(tmp_path / "g.csv", ("ids",))
 
     def test_npz_rejects_damage(self, tmp_path):
         ids = ["a", "b", "c"]
