@@ -42,26 +42,25 @@ def _build_graph(m, args) -> neighbors.NeighborGraph:
 
 
 # the members of the graph cache that a hit reads besides the graph: the
-# ids, the key of the feature bytes (SHA-256 and format) that the graph and
-# the diversity were derived from, and the diversity with the width it used
-_CACHE_MEMBERS = ("ids", "sha256", "format", "diversity_width", "diversity")
+# key of the feature bytes (SHA-256 and format) that the graph and the
+# diversity were derived from, and the diversity with the width it used
+_CACHE_MEMBERS = ("sha256", "format", "diversity_width", "diversity")
 
 
 def _read_cache(cache: Path, digest: str, fmt: str, args):
     """``(ids, graph, diversity)`` from the cache at ``cache``: all None
     unless it holds a usable graph of the feature bytes with this SHA-256
-    and format, the diversity alone None when its width is another one."""
+    and format under ``args.metric``, at least as wide as the request, the
+    diversity alone None when its width is another one."""
     miss = None, None, None
     if not cache.exists():
         return miss
     try:
-        stored = neighbors.load_members(cache, _CACHE_MEMBERS)
-        key = (stored["sha256"].tolist(), stored["format"].tolist())
-        if key != (digest, fmt) or stored["ids"].ndim != 1:
-            return miss
-        ids = stored["ids"].tolist()
-        g = neighbors.load_graph(cache, ids, args.metric)  # dtypes, shapes, index range
+        ids, g, stored = neighbors.load_graph(cache, _CACHE_MEMBERS)
     except ValueError:
+        return miss
+    key = (stored["sha256"].tolist(), stored["format"].tolist(), g.metric)
+    if key != (digest, fmt, args.metric) or g.k < min(_checked_graph_k(args), g.n - 1):
         return miss
     div = stored["diversity"]
     usable = div.dtype == np.float64 and div.shape == (g.n,) and np.isfinite(div).all()
@@ -76,17 +75,17 @@ def _profile(args, out_dir: Path) -> stats.StatProfile:
     """The profile of ``args.features``, served by the cache in ``out_dir``
     when it holds the graph and diversity of these feature bytes, so a hit
     parses no features and computes no diversity. A cache whose diversity
-    has another width gets it recomputed on its graph; a missing or
-    unusable one is rebuilt. Either is replaced."""
+    has another width gets it recomputed on its graph; a missing, narrower
+    or unusable one is rebuilt. Either is replaced."""
     fmt = features.feature_format(args.features)  # a bad suffix fails before the lookup
     digest = hashlib.sha256(Path(args.features).read_bytes()).hexdigest()
-    cache = out_dir / f"graph_{digest[:12]}_{args.metric}_k{_checked_graph_k(args)}.npz"
+    cache = out_dir / f"graph_{digest[:12]}_{args.metric}.npz"
     ids, g, div = _read_cache(cache, digest, fmt, args)
     if div is not None:
         hub, lid = stats.hubness_and_lid(g, args.k_hub, args.n_lid)
         return stats.StatProfile(ids, hub, lid, stats.DiversityProfile(args.m_div, div))
     m = features.load_features(args.features)
-    if g is None or ids != m.ids:
+    if g is None:
         g = _build_graph(m, args)
     profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
     members = {
@@ -132,8 +131,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _solve(m, args, affinity_name: str, init: str, linear=False, max_iterations=None):
-    """Hubness and LID (from --profiles or the graph), affinity, and solver run."""
+def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=None):
+    """Features, hubness and LID (from --profiles or the graph), affinity and solver run."""
+    affinity = _AFFINITY_NAMES.get(affinity_name)
+    if affinity is None:
+        raise ValueError(f"unknown affinity mode '{affinity_name}'")
+    m = features.load_features(args.features)
     graph = None
     if args.profiles:
         profile = stats.load_profile_csv(args.profiles)
@@ -143,9 +146,6 @@ def _solve(m, args, affinity_name: str, init: str, linear=False, max_iterations=
     else:
         graph = _build_graph(m, args)
         hub, lid = stats.hubness_and_lid(graph, args.k_hub, args.n_lid)
-    affinity = _AFFINITY_NAMES.get(affinity_name)
-    if affinity is None:
-        raise ValueError(f"unknown affinity mode '{affinity_name}'")
     if affinity == "knn_sparse" and graph is None and not linear:
         graph = _build_graph(m, args)
     problem = selector.build_problem(
@@ -156,13 +156,12 @@ def _solve(m, args, affinity_name: str, init: str, linear=False, max_iterations=
         init=_INIT_NAMES[init], step_rule=args.step, max_iterations=max_iterations
     )
     y, trace = selector.solve(problem, solver_cfg)
-    return problem, y, trace
+    return m, problem, y, trace
 
 
 def cmd_select(args) -> int:
-    m = features.load_features(args.features)
-    problem, y, trace = _solve(
-        m, args, args.mode, args.init, linear=args.linear, max_iterations=args.max_iter
+    m, problem, y, trace = _solve(
+        args, args.mode, args.init, linear=args.linear, max_iterations=args.max_iter
     )
     selected = selector.save_solution(args.out, m.ids, problem, y, trace, init_label=args.init)
     if args.trace:
@@ -185,8 +184,7 @@ def cmd_rank(args) -> int:
     elif mode in ("hub-first", "lid-first"):
         if not args.features or args.k is None:
             raise ValueError(f"mode '{mode}' requires --features and --k")
-        m = features.load_features(args.features)
-        problem, y, _ = _solve(m, args, args.affinity, mode)
+        m, problem, y, _ = _solve(args, args.affinity, mode)
         order = selector.ranking_order(y, problem)
         ranking = evaluation.Ranking(
             query_id=args.query_id, items=[m.ids[i] for i in order]

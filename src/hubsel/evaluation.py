@@ -110,9 +110,9 @@ def baseline_rank(
     """Rank every fragment of a profile with a simple baseline.
 
     Modes: ``hub`` sorts by descending k-occurrence, ``lid`` by ascending
-    LID, ``random`` is a seeded shuffle, ``oracle`` sorts by descending
-    subjective score (requires ``scores``). Ties fall back to the smaller
-    fragment index.
+    LID, ``random`` is a shuffle seeded by ``seed`` >= 0, ``oracle``
+    sorts by descending subjective score (requires ``scores``). Ties fall
+    back to the smaller fragment index.
     """
     ids = profile.ids
     n = len(ids)
@@ -122,6 +122,8 @@ def baseline_rank(
     elif mode == "lid":
         order = np.lexsort((idx, profile.lid.lids))
     elif mode == "random":
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         order = np.random.default_rng(seed).permutation(n)
     elif mode == "oracle":
         if scores is None:

@@ -303,8 +303,6 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
 
 GRAPH_HEADER = "query_id,rank,neighbor_id,distance"
 
-_NPZ_MEMBERS = ("ids", "indices", "distances")  # a graph; an archive may hold more
-
 
 def _is_npz(path) -> bool:
     return Path(path).suffix.lower() == ".npz"
@@ -313,20 +311,19 @@ def _is_npz(path) -> bool:
 def save_graph(g: NeighborGraph, ids: list[str], path, members=None) -> None:
     """Write a graph to ``path``; the suffix names the format.
 
-    ``.npz``: an uncompressed archive of the arrays ``ids`` (unicode),
-    ``indices`` (int64) and ``distances`` (float64), both (n, k), then
-    the arrays of the ``members`` mapping under their names, written
-    with fixed member timestamps so equal inputs give equal bytes;
-    :func:`load_graph` reads the graph back bit-identical and
-    :func:`load_members` any member. Any other suffix: CSV rows
-    ``query_id,rank,neighbor_id,distance`` with ranks from 1 and
-    distances at full round-trip precision, an export that no hubsel
-    command reads back, without ``members``.
+    ``.npz``: an uncompressed archive of the arrays ``ids`` (1-D unicode),
+    ``metric`` (0-d unicode), ``indices`` (int64) and ``distances``
+    (float64), both (n, k), then those of the ``members`` mapping under
+    their names, with fixed member timestamps so equal inputs give equal
+    bytes, all read back bit-identical by :func:`load_graph`. Any other
+    suffix: CSV rows ``query_id,rank,neighbor_id,distance`` with ranks
+    from 1 and distances at full round-trip precision, an export that no
+    hubsel command reads back, without ``members``.
     """
     if _is_npz(path):
         # np.savez stamps each member with the current time
-        arrays = {"ids": np.array(ids, dtype=str), "indices": g.indices,
-                  "distances": g.distances, **(members or {})}
+        arrays = {"ids": np.array(ids, dtype=str), "metric": np.array(g.metric),
+                  "indices": g.indices, "distances": g.distances, **(members or {})}
         with zipfile.ZipFile(path, "w") as zf:
             for name, arr in arrays.items():
                 with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as f:
@@ -350,41 +347,34 @@ _ARCHIVE_DAMAGE = (
 )
 
 
-def load_members(path, names) -> dict[str, np.ndarray]:
-    """The named members of the ``.npz`` archive at ``path``, by name.
+def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np.ndarray]]:
+    """``(ids, graph, extra)`` from a ``.npz`` archive of :func:`save_graph`,
+    read in one open: the ids in order, the graph under its stored metric,
+    and the arrays of the named ``members``, unchecked, by name.
 
-    A path whose suffix is not ``.npz`` raises ``ValueError`` before the
-    file is opened, and so does, once it is, an archive that is damaged,
-    lacks a named member or stores one that needs pickle.
+    Any other suffix raises ``ValueError`` before the file is opened (the
+    CSV export is not read back), and so does an archive that is damaged,
+    lacks a member, needs pickle, or does not hold 1-D unicode ids, a
+    metric in :data:`METRICS` and an (n, k) graph of them, k >= 1.
     """
     if not _is_npz(path):
         raise ValueError(f"{path}: not a .npz graph archive")
+    names = ("ids", "metric", "indices", "distances", *members)
     with open(path, "rb") as fh:  # a file that cannot be opened is an I/O error
         try:
             z = np.load(fh, allow_pickle=False)
             if not isinstance(z, np.lib.npyio.NpzFile):
                 raise ValueError("a single array")
             with z:
-                return {name: z[name] for name in names}
+                ids, metric, indices, distances, *extra = [z[name] for name in names]
         except _ARCHIVE_DAMAGE as exc:
             raise ValueError(f"{path}: not a readable graph archive ({exc!r})") from exc
-
-
-def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
-    """Reload a graph that :func:`save_graph` wrote to a ``.npz`` path.
-
-    The archive must store exactly ``ids``, in order, and an (n, k) graph
-    of them, k >= 1. The metric is not stored and must be passed by the
-    caller. Any other suffix raises ``ValueError`` before the file is
-    opened: the CSV that :func:`save_graph` writes is not read back. A
-    file that does not hold a complete graph of ``ids`` raises
-    ``ValueError``.
-    """
-    _check_metric(metric)
-    stored, indices, distances = load_members(path, _NPZ_MEMBERS).values()
+    if ids.dtype.kind != "U" or ids.ndim != 1:
+        raise ValueError(f"{path}: ids {ids.dtype}, {ids.shape}, expected 1-D unicode")
+    metric = metric.tolist()
+    if metric not in METRICS:
+        raise ValueError(f"{path}: unknown metric {metric!r}, expected one of {METRICS}")
     n = len(ids)
-    if stored.dtype.kind != "U" or stored.tolist() != list(ids):
-        raise ValueError(f"{path}: stored ids differ from the collection's")
     if indices.dtype != np.int64 or distances.dtype != np.float64:
         raise ValueError(
             f"{path}: dtypes {indices.dtype}, {distances.dtype}, expected int64, float64"
@@ -396,9 +386,10 @@ def load_graph(path, ids: list[str], metric: str) -> NeighborGraph:
         )
     if indices.min() < 0 or indices.max() >= n:
         raise ValueError(f"{path}: neighbor index outside [0, {n})")
-    return NeighborGraph(
+    g = NeighborGraph(
         k=indices.shape[1],
         metric=metric,
         indices=np.ascontiguousarray(indices),
         distances=np.ascontiguousarray(distances),
     )
+    return ids.tolist(), g, dict(zip(members, extra))

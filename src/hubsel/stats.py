@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hubsel import table
+from hubsel.features import first_fault
 from hubsel.neighbors import NeighborGraph, group_mean_distances
 
 # Cap for unstable LID estimates. Estimates at or above the cap (and the
@@ -257,10 +258,11 @@ def load_profile_csv(path) -> StatProfile:
     A row holding a value no writer produces (an N_k that is not a
     non-negative integer, a category other than hub, normal or anti_hub,
     a non-finite lid or diversity, a degenerate flag other than 0 or 1)
-    raises ``ValueError`` naming the path and the row.
+    raises ``ValueError`` naming the path and the row, and so does then
+    an id that breaks the feature id rule (:func:`first_fault`).
     """
     ids: list[str] = []
-    scores, cats, lids, degs, divs = [], [], [], [], []
+    scores, cats, lids, degs, divs, lines = [], [], [], [], [], []
     for lineno, (ident, n_k, cat, lid, deg, div) in table.read_rows(path, 6, PROFILE_HEADER):
         try:
             score, lid_v, div_v = int(n_k), float(lid), float(div)
@@ -281,8 +283,11 @@ def load_profile_csv(path) -> StatProfile:
         lids.append(lid_v)
         degs.append(deg == "1")
         divs.append(div_v)
+        lines.append(lineno)
     if not ids:
         raise ValueError(f"{path}: empty profile file")
+    if fault := first_fault(ids):
+        raise ValueError(f"{path}: row {lines[fault[0]]}: {fault[1]}")
     return StatProfile(
         ids=ids,
         hubness=HubnessProfile(

@@ -162,7 +162,7 @@ class TestAnalyze:
         "damage", ["other ids", "pickled ids", "index out of range", "shape", "dtype",
                    "diversity length", "non-finite diversity", "other digest",
                    "other format", "parent format", "id with comma", "repeated id",
-                   "2-D ids"]
+                   "2-D ids", "other metric", "unknown metric", "no metric member"]
     )
     def test_unusable_cache_is_rebuilt(self, workspace, tmp_path, damage):
         feat = workspace["features"]
@@ -204,6 +204,12 @@ class TestAnalyze:
                 arrays["ids"][1] = arrays["ids"][0]
             elif damage == "2-D ids":
                 arrays["ids"] = arrays["ids"][:, None]
+            elif damage == "other metric":
+                arrays["metric"] = np.array("euclidean")
+            elif damage == "unknown metric":
+                arrays["metric"] = np.array("manhattan")
+            elif damage == "no metric member":  # as archives written before the metric
+                del arrays["metric"]
             else:  # the graph alone, as archives written before the profile members
                 arrays = {name: arrays[name] for name in ("ids", "indices", "distances")}
             np.savez(cache, **arrays)
@@ -260,7 +266,7 @@ class TestAnalyze:
         self, workspace, tmp_path, monkeypatch, capsys, suffix, metric
     ):
         """A hit writes the cold run's bytes from the archive alone; the cache
-        is named by the requested graph width, here above n - 1 = 39."""
+        is named by the feature bytes and the metric only."""
         feat = tmp_path / f"features.{suffix}"
         features.save_features(workspace["matrix"], feat)
         out = tmp_path / "out"
@@ -269,7 +275,7 @@ class TestAnalyze:
         printed = capsys.readouterr().out
         cold = {p.name: p.read_bytes() for p in out.iterdir()}
         digest = hashlib.sha256(feat.read_bytes()).hexdigest()
-        assert f"graph_{digest[:12]}_{metric}_k101.npz" in cold
+        assert f"graph_{digest[:12]}_{metric}.npz" in cold
         self.refuse_parse_and_diversity(monkeypatch)
         assert cli.main(args) == 0
         assert capsys.readouterr().out == printed
@@ -302,6 +308,57 @@ class TestAnalyze:
         assert cli.main(["analyze", str(feat), "--out", str(out)]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
 
+    def test_archive_of_another_metric_is_a_miss(self, workspace, tmp_path):
+        feat = str(workspace["features"])
+        fresh = tmp_path / "fresh"
+        assert cli.main(["analyze", feat, "--out", str(fresh), "--metric", "euclidean"]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["analyze", feat, "--out", str(out)]) == 0
+        (cache,) = out.glob("graph_*.npz")
+        cache.rename(cache.with_name(cache.name.replace("_cosine", "_euclidean")))
+        assert cli.main(["analyze", feat, "--out", str(out), "--metric", "euclidean"]) == 0
+        want = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == want
+
+    def test_one_archive_per_feature_file_and_metric(self, workspace, tmp_path):
+        feat, out = str(workspace["features"]), tmp_path / "out"
+        assert cli.main(["analyze", feat, "--out", str(out)]) == 0
+        assert cli.main(["analyze", feat, "--out", str(out), "--m-div", "200"]) == 0
+        assert len(list(out.glob("graph_*"))) == 1
+
+    @staticmethod
+    def analyze_200(tmp_path, capsys, name, *options):
+        """Outputs and stdout of ``analyze`` on a 200-fragment collection,
+        wide enough that a graph of 151 neighbors holds more than 101."""
+        feat = tmp_path / "wide.csv"
+        if not feat.exists():
+            features.save_features(random_matrix(np.random.default_rng(9), 200, 8), feat)
+        out = tmp_path / name
+        capsys.readouterr()
+        assert cli.main(["analyze", str(feat), "--out", str(out), *options]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        return files, capsys.readouterr().out
+
+    def test_wider_archive_serves_a_narrower_request(self, tmp_path, monkeypatch, capsys):
+        cold, printed = self.analyze_200(tmp_path, capsys, "cold")
+        self.analyze_200(tmp_path, capsys, "out", "--n-lid", "150")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a wider cached graph serves the request")
+
+        monkeypatch.setattr(neighbors, "knn_graph", refused)
+        self.refuse_parse_and_diversity(monkeypatch)
+        files, again = self.analyze_200(tmp_path, capsys, "out")
+        assert again == printed
+        for name in ("profile.csv", "summary.json", "scatter.csv"):
+            assert files[name] == cold[name], name
+
+    def test_narrower_archive_is_rebuilt(self, tmp_path, capsys):
+        cold = self.analyze_200(tmp_path, capsys, "cold", "--k-hub", "150")
+        self.analyze_200(tmp_path, capsys, "out")
+        files, printed = self.analyze_200(tmp_path, capsys, "out", "--k-hub", "150")
+        assert (files, printed) == cold
+        assert len([name for name in files if name.startswith("graph_")]) == 1
 
     @pytest.mark.parametrize("scale", [1e200, 1e-300])
     def test_extreme_magnitudes_give_finite_outputs(self, tmp_path, scale):
@@ -322,8 +379,23 @@ class TestAnalyze:
         assert cli.main(
             ["knn", str(feat), "--k", "5", "--metric", "euclidean", "--out", str(graph)]
         ) == 0
-        g = neighbors.load_graph(graph, m.ids, "euclidean")
+        ids, g, _ = neighbors.load_graph(graph)
+        assert ids == m.ids and g.metric == "euclidean"
         assert np.isfinite(g.distances).all() and (g.distances > 0).all()
+
+
+def test_readme_names_every_archive_member(workspace, tmp_path):
+    """The README's file-format rows are the only documentation of the
+    archives that ``knn --out g.npz`` and ``analyze`` write."""
+    graph = tmp_path / "g.npz"
+    assert cli.main(["knn", str(workspace["features"]), "--k", "5", "--out", str(graph)]) == 0
+    (cache,) = workspace["analysis"].glob("graph_*.npz")
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    for archive, title in ((graph, "| graph archive ("), (cache, "| `analyze` cache (")):
+        (row,) = [line for line in lines if line.startswith(title)]
+        with np.load(archive) as z:
+            unnamed = [name for name in z.files if f"`{name}`" not in row]
+        assert not unnamed, f"README row {title!r} does not name {unnamed}"
 
 
 _REPORT_IMPORTS = """
@@ -721,6 +793,32 @@ class TestRank:
         assert cli.main(args) == 1
         assert "--features" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = ["rank", "--mode", "random", "--seed", "-1", "--out", str(out),
+                "--profiles", str(workspace["analysis"] / "profile.csv")]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "rank"])
+def test_unknown_affinity_fails_before_any_file_is_read(
+    workspace, tmp_path, monkeypatch, capsys, command
+):
+    def refused(*args, **kwargs):
+        raise AssertionError("an unknown affinity mode needs no features")
+
+    monkeypatch.setattr(features, "load_features", refused)
+    feat, out = str(workspace["features"]), str(tmp_path / "out")
+    argv = {
+        "select": ["select", feat, "--k", "4", "--mode", "bogus", "--out", out],
+        "rank": ["rank", "--mode", "hub-first", "--features", feat, "--k", "4",
+                 "--affinity", "bogus", "--out", out],
+    }[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: unknown affinity mode 'bogus'\n"
+
 
 class TestEval:
     def write_run(self, tmp_path):
@@ -794,13 +892,18 @@ _DIALECT = "contains ',', '\\r', '\\n' or '\\x00'"
     ("bad.csv", b"a\xc3\xa9,1.0\n\xff,2.0\n", "select", "row 2: not valid UTF-8"),
     ("profile.csv", b"id,N_k,category,lid,degenerate,diversity\na,1,normal,2.0,0,0.5\n"
      b"b\xff,1,normal,2.0,0,0.5\n", "rank", "row 3: not valid UTF-8"),
+    ("profile.csv", "id,N_k,category,lid,degenerate,diversity\na,1,normal,2.0,0,0.5\n\n"
+     "a,1,normal,2.0,0,0.5\n", "rank", "row 4: duplicate id 'a'"),
+    ("profile.csv", "a,1,normal,2.0,0,0.5\nb\x00,1,normal,2.0,0,0.5\n", "rank",
+     f"row 2: id 'b\\x00' {_DIALECT}"),
     ("bad.fbin", b"HLF1" + struct.pack("<II", 2, 1) + struct.pack("<2f", 1, 2)
      + b"\x01\x00a\x01\x00\xff", "select", "row 2: id is not valid UTF-8"),
 ], ids=[
     "csv id with NUL", "csv duplicate after blank line", "csv inf", "csv bad token",
     "fbin duplicate", "fbin non-finite", "fbin id with comma", "fuse second file",
     "run duplicate item", "run query id with NUL",
-    "csv not utf-8", "profile not utf-8", "fbin id not utf-8",
+    "csv not utf-8", "profile not utf-8", "profile duplicate id", "profile id with NUL",
+    "fbin id not utf-8",
 ])
 def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command, fault):
     """One line, ``error: <path>: <fault>``, exit 1 and no traceback; the

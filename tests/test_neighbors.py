@@ -15,7 +15,6 @@ from hubsel.neighbors import (
     distance_matrix,
     knn_graph,
     load_graph,
-    load_members,
     pairwise_distance,
     save_graph,
 )
@@ -153,21 +152,23 @@ class TestGraphSerialization:
         g = knn_graph(m, 4, "cosine")
         path = tmp_path / f"g{suffix}"
         save_graph(g, m.ids, path)
-        back = load_graph(path, m.ids, "cosine")
+        ids, back, extra = load_graph(path)
+        assert ids == m.ids and extra == {}
         assert back.k == g.k
         assert back.metric == "cosine"
         assert back.indices.dtype == np.int64
         assert np.array_equal(back.indices, g.indices)
         assert back.distances.tobytes() == g.distances.tobytes()
 
-    def test_npz_holds_three_plain_arrays(self, tmp_path):
+    def test_npz_holds_four_plain_arrays(self, tmp_path):
         m = random_matrix(np.random.default_rng(16), 6, 3)
         g = knn_graph(m, 2, "euclidean")
         path = tmp_path / "g.npz"
         save_graph(g, m.ids, path)
         with np.load(path, allow_pickle=False) as z:
-            assert sorted(z.files) == ["distances", "ids", "indices"]
+            assert z.files == ["ids", "metric", "indices", "distances"]
             assert z["ids"].tolist() == m.ids
+            assert z["metric"].shape == () and z["metric"].tolist() == "euclidean"
             assert z["indices"].dtype == np.int64 and z["distances"].dtype == np.float64
         first = path.read_bytes()
         save_graph(g, m.ids, path)
@@ -179,32 +180,36 @@ class TestGraphSerialization:
         members = {"note": np.array("x"), "values": np.linspace(0.0, 1.0, 6)}
         path = tmp_path / "g.npz"
         save_graph(g, m.ids, path, members)
-        back = load_graph(path, m.ids, "cosine")
+        ids, back, stored = load_graph(path, ("values", "note"))
         assert back.distances.tobytes() == g.distances.tobytes()
-        stored = load_members(path, ("values", "note", "ids"))
-        assert list(stored) == ["values", "note", "ids"]
+        assert list(stored) == ["values", "note"]
         assert stored["values"].tobytes() == members["values"].tobytes()
-        assert stored["note"].tolist() == "x" and stored["ids"].tolist() == m.ids
+        assert stored["note"].tolist() == "x" and ids == m.ids
         first = path.read_bytes()
         save_graph(g, m.ids, path, members)
         assert path.read_bytes() == first
         with pytest.raises(ValueError, match="KeyError"):
-            load_members(path, ("absent",))
+            load_graph(path, ("absent",))
         with pytest.raises(ValueError, match="not a .npz graph archive"):
-            load_members(tmp_path / "g.csv", ("ids",))
+            load_graph(tmp_path / "g.csv", ("values",))
 
     def test_npz_rejects_damage(self, tmp_path):
         ids = ["a", "b", "c"]
         good = {
             "ids": np.array(ids),
+            "metric": np.array("cosine"),
             "indices": np.array([[1], [0], [1]]),
             "distances": np.array([[0.5], [0.5], [0.25]]),
         }
         np.savez(tmp_path / "ok.npz", **good)
-        assert load_graph(tmp_path / "ok.npz", ids, "cosine").k == 1
+        assert load_graph(tmp_path / "ok.npz")[1].k == 1
         damaged = {
-            "ids differ": dict(good, ids=np.array(["a", "b", "x"])),
             "allow_pickle": dict(good, ids=np.array(ids, dtype=object)),
+            r"ids \|S1, \(3,\), expected 1-D unicode": dict(good, ids=np.array(ids).astype(bytes)),
+            r"ids <U1, \(3, 1\), expected 1-D": dict(good, ids=np.array(ids)[:, None]),
+            "unknown metric 'manhattan'": dict(good, metric=np.array("manhattan")),
+            "unknown metric 2": dict(good, metric=np.array(2)),
+            r"unknown metric \['cosine'\]": dict(good, metric=np.array(["cosine"])),
             "outside": dict(good, indices=np.array([[1], [0], [3]])),
             r"outside \[0": dict(good, indices=np.array([[1], [0], [-1]])),
             "dtypes int32": dict(good, indices=good["indices"].astype(np.int32)),
@@ -220,20 +225,21 @@ class TestGraphSerialization:
             ),
             r"\(3, 2\), expected": dict(good, distances=np.ones((3, 2))),
             "KeyError": {k: v for k, v in good.items() if k != "ids"},
+            "KeyError.*metric": {k: v for k, v in good.items() if k != "metric"},
         }
         for match, arrays in damaged.items():
             np.savez(tmp_path / "bad.npz", **arrays)  # pickles object arrays
             with pytest.raises(ValueError, match=match):
-                load_graph(tmp_path / "bad.npz", ids, "cosine")
+                load_graph(tmp_path / "bad.npz")
         raw = (tmp_path / "ok.npz").read_bytes()
         for cut in range(len(raw)):
             (tmp_path / "cut.npz").write_bytes(raw[:cut])
             with pytest.raises(ValueError):
-                load_graph(tmp_path / "cut.npz", ids, "cosine")
+                load_graph(tmp_path / "cut.npz")
         np.save(tmp_path / "single.npy", good["indices"])
         (tmp_path / "single.npy").rename(tmp_path / "single.npz")
         with pytest.raises(ValueError, match="single array"):
-            load_graph(tmp_path / "single.npz", ids, "cosine")
+            load_graph(tmp_path / "single.npz")
 
     def test_npz_bit_flips_never_load_a_different_graph(self, tmp_path):
         m = random_matrix(np.random.default_rng(17), 6, 3)
@@ -247,15 +253,16 @@ class TestGraphSerialization:
                 flipped[pos] ^= bit
                 path.write_bytes(bytes(flipped))
                 try:
-                    back = load_graph(path, m.ids, "cosine")
+                    ids, back, _ = load_graph(path)
                 except ValueError:
                     continue
+                assert ids == m.ids and back.metric == "cosine", pos
                 assert np.array_equal(back.indices, g.indices), pos
                 assert back.distances.tobytes() == g.distances.tobytes(), pos
 
     def test_missing_npz_is_an_io_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_graph(tmp_path / "absent.npz", ["a", "b"], "cosine")
+            load_graph(tmp_path / "absent.npz")
 
     def test_rank_starts_at_one(self, tmp_path):
         m = random_matrix(np.random.default_rng(15), 5, 3)
@@ -273,10 +280,10 @@ class TestGraphSerialization:
             "query_id,rank,neighbor_id,distance\na,1,a,nan\na,2,a,-1.0\nb,1,a,0.5\nb,2,a,0.25\n"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a .npz graph archive$"):
-            load_graph(path, ["a", "b"], "cosine")
+            load_graph(path)
         # rejected before the file is opened, so a missing one is no I/O error
         with pytest.raises(ValueError, match=r": not a \.npz graph archive$"):
-            load_graph(tmp_path / "absent.csv", ["a", "b"], "cosine")
+            load_graph(tmp_path / "absent.csv")
 
 
 def test_conservation_of_list_lengths():
