@@ -6,7 +6,9 @@ errors (mismatched ids, invalid budgets, unknown modes, missing ground
 truth) and when memory runs out, 2 on I/O failures. All outputs are
 deterministic for a fixed configuration and seed. ``--threads`` is
 accepted for compatibility and has no effect: the kNN scan runs in one
-thread. A value below 1 is still an error.
+thread, and the dense affinity of select and rank runs on one thread per
+CPU in the process's affinity mask, with outputs that do not depend on
+that count. A value below 1 is still an error.
 """
 
 from __future__ import annotations
@@ -223,7 +225,9 @@ def cmd_eval(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility, no effect: the kNN scan runs in one thread")
+                     help="accepted for compatibility, no effect: the kNN scan runs in one "
+                          "thread, a dense affinity on one per CPU in the affinity mask, "
+                          "with the same outputs")
 
 
 def _add_profile_knobs(sub) -> None:

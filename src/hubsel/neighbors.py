@@ -17,7 +17,9 @@ normal range are used as they are.
 from __future__ import annotations
 
 import math
+import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,6 +110,15 @@ def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
     return xs, (xs if y is x else np.ldexp(y, -e)), math.ldexp(1.0, e)
 
 
+def _workers() -> int:
+    """Threads for the blocks of a self distance matrix: one per CPU the
+    process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _distances(x, y, metric: str) -> np.ndarray:
     # imported here: scipy.spatial costs ~0.5 s of start-up, which commands
     # that compute no distance (eval, baseline rank, fuse, --help) skip
@@ -129,9 +140,11 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
 
     Called with the same object as ``x`` and ``y``, it computes each
     unordered pair once: the upper triangle in row blocks, each mirrored
-    into the lower triangle. The bytes are those of the full pass, since
-    ``cdist`` computes each pair on its own and gives (i, j) and (j, i)
-    the same bits, and the rescaling is decided once for all of ``x``.
+    into the lower triangle, with the blocks spread over one thread per
+    CPU in the process's affinity mask. The bytes are those of the full
+    pass whatever the thread count, since ``cdist`` computes each pair on
+    its own and gives (i, j) and (j, i) the same bits, and the rescaling
+    is decided once for all of ``x``. No thread outlives the call.
     """
     same = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -140,11 +153,19 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
         n = x.shape[0]
         D = np.empty((n, n), dtype=np.float64)
         block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
-        for s in range(0, n, block):
+
+        # Block s writes rows s:e at columns >= s and columns s:e at rows
+        # >= s; a later block s' >= e touches neither, and only block s
+        # writes the square D[s:e, s:e]. The regions are disjoint, so the
+        # workers need no lock.
+        def fill(s: int) -> None:
             e = min(s + block, n)
             B = _distances(x[s:e], x[s:], metric)
             D[s:e, s:] = B
             D[s:, s:e] = B.T
+
+        with ThreadPoolExecutor(max_workers=_workers()) as pool:
+            list(pool.map(fill, range(0, n, block)))  # re-raises a block's error
     else:
         D = _distances(x, y, metric)
     if unscale != 1.0:
@@ -355,7 +376,7 @@ def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np
     Any other suffix raises ``ValueError`` before the file is opened (the
     CSV export is not read back), and so does an archive that is damaged,
     lacks a member, needs pickle, or does not hold 1-D unicode ids, a
-    metric in :data:`METRICS` and an (n, k) graph of them, k >= 1.
+    metric in :data:`METRICS` and an (n, k) graph of them, n, k >= 1.
     """
     if not _is_npz(path):
         raise ValueError(f"{path}: not a .npz graph archive")
@@ -384,6 +405,8 @@ def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np
         raise ValueError(
             f"{path}: shapes {indices.shape}, {distances.shape}, expected ({n}, k), k >= 1"
         )
+    if n == 0:
+        raise ValueError(f"{path}: no fragments")
     if indices.min() < 0 or indices.max() >= n:
         raise ValueError(f"{path}: neighbor index outside [0, {n})")
     g = NeighborGraph(

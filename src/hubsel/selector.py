@@ -379,7 +379,10 @@ def round_selection(y: np.ndarray, p: SelectionProblem) -> list[int]:
 
 def ranking_order(y: np.ndarray, p: SelectionProblem) -> list[int]:
     """All indices by descending y, then descending reward, then index."""
-    r = rewards(p, y)
+    return _order(y, rewards(p, y))
+
+
+def _order(y: np.ndarray, r: np.ndarray) -> list[int]:
     order = np.lexsort((np.arange(y.size), -r, -y))
     return [int(i) for i in order]
 
@@ -394,14 +397,15 @@ def save_solution(
 ) -> list[int]:
     """Write the solver result as JSON (fresh objective, selected ids) and
     return the selected indices, as :func:`round_selection` gives them."""
-    selected = round_selection(y, p)
+    ay = p.a @ y  # one pass serves the rounding's rewards and the objective
+    selected = _order(y, _rewards_at(p, ay))[: p.k]
     payload = {
         "k": p.k,
         "init": init_label,
         "iterations": trace.iterations,
         "converged": trace.converged,
         "kkt_residual": trace.kkt_residual,
-        "objective": objective(p, y),
+        "objective": _objective_at(p, y, ay),
         "selected": [ids[i] for i in selected],
         "y": [float(v) for v in y],
     }

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hubsel import cli
+from hubsel import cli, neighbors
 from hubsel.evaluation import (
     Ranking,
     average_precision_at_k,
@@ -321,8 +321,9 @@ def test_criterion_09_evaluation_fixtures():
     )
 
 
-def test_criterion_10_determinism(tmp_path_factory):
-    """Byte-identical pipeline outputs across reruns and thread counts."""
+def test_criterion_10_determinism(tmp_path_factory, monkeypatch):
+    """Byte-identical pipeline outputs across reruns, ``--threads`` values
+    and worker counts of the dense affinity pass."""
     t0 = time.perf_counter()
     root = tmp_path_factory.mktemp("determinism")
     m = gaussian_cloud(np.random.default_rng(4), 3000, 8)
@@ -343,7 +344,8 @@ def test_criterion_10_determinism(tmp_path_factory):
     assert {nm: (d / nm).read_bytes() for nm in names} == analyze["t1"]
 
     solutions = []
-    for tag, threads in (("t1", 1), ("t8", 8), ("t1-rerun", 1)):
+    for tag, threads, workers in (("t1", 1, 1), ("t8", 8, 3), ("t1-rerun", 1, 2)):
+        monkeypatch.setattr(neighbors, "_workers", lambda workers=workers: workers)
         out = root / f"solution_{tag}.json"
         trc = root / f"trace_{tag}.csv"
         args = [
@@ -356,5 +358,6 @@ def test_criterion_10_determinism(tmp_path_factory):
     elapsed = time.perf_counter() - t0
     print(
         f"ACCEPTANCE 10: PASS - analyze and select outputs byte-identical "
-        f"across reruns at threads 1 and 8, {elapsed:.1f}s"
+        f"across reruns at threads 1 and 8 and dense-affinity workers 1, 2 and 3, "
+        f"{elapsed:.1f}s"
     )

@@ -81,20 +81,24 @@ class TestKnn:
 
 class TestThreadsFlag:
     """--threads is accepted and ignored: the scan is one serial loop over
-    row blocks, so no thread starts and the bytes match --threads 1."""
+    row blocks, and only a dense affinity runs on a thread pool, so a
+    command that builds none starts no thread and the bytes match
+    --threads 1."""
 
     @pytest.mark.parametrize("command", [
         ["analyze", "{feat}", "--out", "out"],
         ["knn", "{feat}", "--k", "7", "--out", "g.csv"],
         ["knn", "{feat}", "--k", "7", "--out", "g.npz"],
-    ], ids=["analyze", "knn csv", "knn npz"])
+        ["select", "{feat}", "--k", "5", "--out", "s.json", "--mode", "knn-sparse"],
+        ["rank", "--mode", "hub", "--profiles", "{prof}", "--out", "run.csv"],
+    ], ids=["analyze", "knn csv", "knn npz", "select knn-sparse", "rank hub"])
     def test_starts_no_thread_and_matches_one_thread(
         self, workspace, tmp_path, monkeypatch, capsys, command
     ):
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7 * workspace["matrix"].n)
 
         def no_thread(self):
-            raise AssertionError("the kNN scan started a thread")
+            raise AssertionError("a command without a dense affinity started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         written = {}
@@ -102,7 +106,8 @@ class TestThreadsFlag:
             run = tmp_path / threads
             run.mkdir()
             monkeypatch.chdir(run)
-            argv = [a.format(feat=workspace["features"]) for a in command]
+            argv = [a.format(feat=workspace["features"],
+                             prof=workspace["analysis"] / "profile.csv") for a in command]
             capsys.readouterr()
             assert cli.main(argv + ["--threads", threads]) == 0
             files = {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*"))
@@ -937,3 +942,29 @@ def test_out_of_memory_exits_1(workspace, tmp_path, monkeypatch, capsys):
             "--out", str(tmp_path / "solution.json")]
     assert cli.main(args) == 1
     assert "error: out of memory (Unable to allocate 18.6 GiB)" in capsys.readouterr().err
+
+
+def test_failing_affinity_block_exits_1_and_leaves_no_thread(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    """A MemoryError in one row block of the dense pass reaches ``main``
+    through the thread pool: exit 1, no solution, no thread left over."""
+    n = workspace["matrix"].n
+    monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", 4 * n)  # 4-row blocks
+    monkeypatch.setattr(neighbors, "_workers", lambda: 2)
+    distances = neighbors._distances
+
+    def second_block_fails(x, y, metric):
+        if len(y) == n - 4:
+            raise MemoryError("Unable to allocate 1.0 MiB")
+        return distances(x, y, metric)
+
+    monkeypatch.setattr(neighbors, "_distances", second_block_fails)
+    before = threading.active_count()
+    out = tmp_path / "solution.json"
+    args = ["select", str(workspace["features"]), "--k", "5", "--out", str(out),
+            "--mode", "dense", "--profiles", str(workspace["analysis"] / "profile.csv")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: out of memory (Unable to allocate 1.0 MiB)\n"
+    assert not out.exists()
+    assert threading.active_count() == before

@@ -1,11 +1,14 @@
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from hubsel import neighbors
 from hubsel.features import FeatureMatrix
@@ -226,6 +229,10 @@ class TestGraphSerialization:
             r"\(3, 2\), expected": dict(good, distances=np.ones((3, 2))),
             "KeyError": {k: v for k, v in good.items() if k != "ids"},
             "KeyError.*metric": {k: v for k, v in good.items() if k != "metric"},
+            r"bad\.npz: no fragments": dict(
+                good, ids=np.array([], dtype=str), indices=np.zeros((0, 1), np.int64),
+                distances=np.zeros((0, 1)),
+            ),
         }
         for match, arrays in damaged.items():
             np.savez(tmp_path / "bad.npz", **arrays)  # pickles object arrays
@@ -433,6 +440,36 @@ class TestExtremeMagnitudes:
             for rows in (1, 2, n):
                 monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
                 assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_any_worker_count_gives_one_full_cdist_pass(self, monkeypatch, metric, workers):
+        # the self pass runs its row blocks on a pool of _workers() threads;
+        # 4-row blocks of 23 rows end in a partial block, and a row near
+        # 1e200 makes _in_range rescale (that row under cosine, all rows
+        # under euclidean) before the pass. The result starts as np.empty,
+        # so a lost block write shows as other bytes; a short switch
+        # interval makes the threads interleave often.
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", 4 * 23)
+        x = np.random.default_rng(38).standard_normal((23, 16))
+        big = x.copy()
+        big[5] *= 1e200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for values in (x, big):
+                xs, _, unscale = neighbors._in_range(values, values, metric)
+                assert (xs is values) == (values is x)
+                want = cdist(xs, xs, metric=metric)
+                if metric == "cosine":
+                    np.clip(want, 0.0, None, out=want)
+                want *= unscale
+                before = threading.active_count()
+                assert distance_matrix(values, values, metric).tobytes() == want.tobytes()
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_tiny_row_among_unit_rows_under_cosine(self):
         values = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [-1.0, 3.0]])
