@@ -1,5 +1,10 @@
 """Command-line pipeline: fuse, knn, analyze, select, rank, eval.
 
+``analyze`` keeps one archive per feature file and metric beside its
+outputs: the parsed matrix, the kNN graph and the diversity, keyed on the
+file's SHA-256. Its reruns, and select and solver-mode rank given that
+``profile.csv``, read it in place of the file, with the same outputs.
+
 Exit codes follow one convention across subcommands: 0 on success
 (including a solver run that stops without converging), 1 on domain
 errors (mismatched ids, invalid budgets, unknown modes, missing ground
@@ -40,59 +45,65 @@ def _checked_graph_k(args) -> int:
 
 
 def _build_graph(m, args) -> neighbors.NeighborGraph:
-    return neighbors.knn_graph(m, min(_checked_graph_k(args), m.n - 1), metric=args.metric)
+    return neighbors.knn_graph(m, _checked_graph_k(args), metric=args.metric)
 
 
-# the members of the graph cache that a hit reads besides the graph: the
-# key of the feature bytes (SHA-256 and format) that the graph and the
-# diversity were derived from, and the diversity with the width it used
-_CACHE_MEMBERS = ("sha256", "format", "diversity_width", "diversity")
+# the members of an analyze archive besides the graph: the key of the
+# feature bytes (SHA-256 and format) everything in it was derived from,
+# the matrix parsed from them, and the diversity with the width it used
+_CACHE_MEMBERS = ("sha256", "format", "values", "diversity_width", "diversity")
 
 
-def _read_cache(cache: Path, digest: str, fmt: str, args):
-    """``(ids, graph, diversity)`` from the cache at ``cache``: all None
-    unless it holds a usable graph of the feature bytes with this SHA-256
-    and format under ``args.metric``, at least as wide as the request, the
-    diversity alone None when its width is another one."""
-    miss = None, None, None
-    if not cache.exists():
+def _feature_key(path) -> tuple[str, str]:
+    """SHA-256 and format of a feature file; a bad suffix fails before the read."""
+    fmt = features.feature_format(path)
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest(), fmt
+
+
+def _archive(directory: Path, digest: str, fmt: str, metric: str):
+    """``(path, matrix, graph, members)``: the path of the analyze archive
+    of these feature bytes under ``metric`` in ``directory`` and what it
+    holds, the last three None unless it is keyed on this SHA-256, format
+    and metric and holds float64 values that ``FeatureMatrix`` accepts."""
+    path = directory / f"graph_{digest[:12]}_{metric}.npz"
+    miss = path, None, None, None
+    if not path.exists():
         return miss
     try:
-        ids, g, stored = neighbors.load_graph(cache, _CACHE_MEMBERS)
+        ids, g, stored = neighbors.load_graph(path, _CACHE_MEMBERS)
+        key = (stored["sha256"].tolist(), stored["format"].tolist(), g.metric)
+        if key != (digest, fmt, metric) or stored["values"].dtype != np.float64:
+            return miss
+        m = features.FeatureMatrix(ids, np.ascontiguousarray(stored["values"]))
     except ValueError:
         return miss
-    key = (stored["sha256"].tolist(), stored["format"].tolist(), g.metric)
-    if key != (digest, fmt, args.metric) or g.k < min(_checked_graph_k(args), g.n - 1):
-        return miss
-    div = stored["diversity"]
-    usable = div.dtype == np.float64 and div.shape == (g.n,) and np.isfinite(div).all()
-    if not usable or features.first_fault(ids):
-        return miss
-    if stored["diversity_width"].tolist() != min(args.m_div, g.k):
-        return ids, g, None
-    return ids, g, div
+    return path, m, g, stored
 
 
 def _profile(args, out_dir: Path) -> stats.StatProfile:
-    """The profile of ``args.features``, served by the cache in ``out_dir``
-    when it holds the graph and diversity of these feature bytes, so a hit
-    parses no features and computes no diversity. A cache whose diversity
-    has another width gets it recomputed on its graph; a missing, narrower
-    or unusable one is rebuilt. Either is replaced."""
-    fmt = features.feature_format(args.features)  # a bad suffix fails before the lookup
-    digest = hashlib.sha256(Path(args.features).read_bytes()).hexdigest()
-    cache = out_dir / f"graph_{digest[:12]}_{args.metric}.npz"
-    ids, g, div = _read_cache(cache, digest, fmt, args)
-    if div is not None:
-        hub, lid = stats.hubness_and_lid(g, args.k_hub, args.n_lid)
-        return stats.StatProfile(ids, hub, lid, stats.DiversityProfile(args.m_div, div))
-    m = features.load_features(args.features)
+    """The profile of ``args.features``. A hit of the archive in ``out_dir``
+    parses no features; with a graph as wide as the request and a diversity
+    of the requested width it computes nothing else either, and a narrower
+    graph or another width is recomputed on the cached matrix. A missing or
+    unusable archive is rebuilt from a parse. Either replaces the archive."""
+    digest, fmt = _feature_key(args.features)
+    cache, m, g, stored = _archive(out_dir, digest, fmt, args.metric)
+    if g is not None and g.k < min(_checked_graph_k(args), g.n - 1):
+        g = None
+    if g is not None and stored["diversity_width"].tolist() == min(args.m_div, g.k):
+        div = stored["diversity"]
+        if div.dtype == np.float64 and div.shape == (g.n,) and np.isfinite(div).all():
+            hub, lid = stats.hubness_and_lid(g, args.k_hub, args.n_lid)
+            return stats.StatProfile(m.ids, hub, lid, stats.DiversityProfile(args.m_div, div))
+    if m is None:
+        m = features.load_features(args.features)
     if g is None:
         g = _build_graph(m, args)
     profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
     members = {
         "sha256": np.array(digest),
         "format": np.array(fmt),
+        "values": m.values,
         "diversity_width": np.array(min(args.m_div, g.k), dtype=np.int64),
         "diversity": profile.diversity.values,
     }
@@ -134,22 +145,35 @@ def cmd_analyze(args) -> int:
 
 
 def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=None):
-    """Features, hubness and LID (from --profiles or the graph), affinity and solver run."""
+    """Features, hubness and LID (from --profiles or the graph), affinity and
+    solver run. The analyze archive next to --profiles, when it holds these
+    feature bytes and the profile's ids, serves the matrix and the graph."""
     affinity = _AFFINITY_NAMES.get(affinity_name)
     if affinity is None:
         raise ValueError(f"unknown affinity mode '{affinity_name}'")
-    m = features.load_features(args.features)
-    graph = None
+    m = graph = None
+    if args.profiles:
+        key = _feature_key(args.features)
+        _, m, graph, _ = _archive(Path(args.profiles).parent, *key, args.metric)
+    cached = m is not None
+    m = m if cached else features.load_features(args.features)
     if args.profiles:
         profile = stats.load_profile_csv(args.profiles)
+        if cached and profile.ids != m.ids:  # an archive that disagrees with its profile
+            m, graph = features.load_features(args.features), None
         if profile.ids != m.ids:
             raise ValueError(f"profile ids do not match feature ids ({args.profiles})")
         hub, lid = profile.hubness, profile.lid
     else:
         graph = _build_graph(m, args)
         hub, lid = stats.hubness_and_lid(graph, args.k_hub, args.n_lid)
-    if affinity == "knn_sparse" and graph is None and not linear:
-        graph = _build_graph(m, args)
+    if affinity == "knn_sparse" and not linear:
+        width = _checked_graph_k(args)
+        if graph is None or graph.k < min(width, m.n - 1):
+            graph = _build_graph(m, args)
+        graph = graph.truncated(width)  # the first columns of a wider exact graph
+    else:
+        graph = None  # freed before a dense A is built: no other affinity reads it
     problem = selector.build_problem(
         hub, lid, m,
         metric=args.metric, k=args.k, mode=affinity, graph=graph, linear=linear,

@@ -50,6 +50,8 @@ class SelectionProblem:
     d_risk: np.ndarray
     a: object
     k: int
+    # (y, A@y) of the last y the objective or the rewards were asked for
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -191,14 +193,22 @@ def _rewards_at(p: SelectionProblem, av: np.ndarray) -> np.ndarray:
     return (p.h - p.d_risk) / p.k + 2.0 * av / _pair_divisor(p.k)
 
 
+def _product(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
+    """A@y, kept for the last y asked for, so the solver's final pass also
+    serves the rounding, the objective and the ranking of the same y."""
+    if p._last is None or not np.array_equal(p._last[0], y):
+        p._last = (np.array(y), p.a @ y)
+    return p._last[1]
+
+
 def objective(p: SelectionProblem, y: np.ndarray) -> float:
     """Objective f(y). No budget check, so perturbed y may be evaluated."""
-    return _objective_at(p, y, p.a @ y)
+    return _objective_at(p, y, _product(p, y))
 
 
 def rewards(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
     """Gradient of the objective: r = H/k - D/k + 2Ay / (k (k - 1))."""
-    return _rewards_at(p, p.a @ y)
+    return _rewards_at(p, _product(p, y))
 
 
 def reward(p: SelectionProblem, y: np.ndarray, i: int) -> float:
@@ -397,7 +407,7 @@ def save_solution(
 ) -> list[int]:
     """Write the solver result as JSON (fresh objective, selected ids) and
     return the selected indices, as :func:`round_selection` gives them."""
-    ay = p.a @ y  # one pass serves the rounding's rewards and the objective
+    ay = _product(p, y)
     selected = _order(y, _rewards_at(p, ay))[: p.k]
     payload = {
         "k": p.k,

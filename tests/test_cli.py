@@ -167,7 +167,9 @@ class TestAnalyze:
         "damage", ["other ids", "pickled ids", "index out of range", "shape", "dtype",
                    "diversity length", "non-finite diversity", "other digest",
                    "other format", "parent format", "id with comma", "repeated id",
-                   "2-D ids", "other metric", "unknown metric", "no metric member"]
+                   "2-D ids", "other metric", "unknown metric", "no metric member",
+                   "no values member", "float32 values", "values of fewer rows",
+                   "non-finite values"]
     )
     def test_unusable_cache_is_rebuilt(self, workspace, tmp_path, damage):
         feat = workspace["features"]
@@ -215,6 +217,14 @@ class TestAnalyze:
                 arrays["metric"] = np.array("manhattan")
             elif damage == "no metric member":  # as archives written before the metric
                 del arrays["metric"]
+            elif damage == "no values member":  # as archives written before the matrix
+                del arrays["values"]
+            elif damage == "float32 values":
+                arrays["values"] = arrays["values"].astype(np.float32)
+            elif damage == "values of fewer rows":
+                arrays["values"] = arrays["values"][:-1]
+            elif damage == "non-finite values":
+                arrays["values"][2, 1] = np.inf
             else:  # the graph alone, as archives written before the profile members
                 arrays = {name: arrays[name] for name in ("ids", "indices", "distances")}
             np.savez(cache, **arrays)
@@ -295,9 +305,10 @@ class TestAnalyze:
         assert cli.main(["analyze", feat, "--out", str(out)]) == 0
 
         def refused(*args, **kwargs):
-            raise AssertionError("the cached graph serves another diversity width")
+            raise AssertionError("the cached graph and matrix serve another diversity width")
 
         monkeypatch.setattr(neighbors, "knn_graph", refused)
+        monkeypatch.setattr(features, "load_features", refused)
         for _ in range(2):  # the first run rewrites the cache, the second hits it
             assert cli.main(["analyze", feat, "--out", str(out), "--m-div", "5"]) == 0
             assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
@@ -701,6 +712,171 @@ class TestSolveReadsHubnessAndLidOnly:
         assert np.array_equal(problems[0].a.toarray(), np.maximum(expected, expected.T))
 
 
+class TestProfilesReuseTheArchive:
+    """select and solver-mode rank given --profiles take the matrix, and a
+    wide enough knn-sparse graph, from the analyze archive next to the
+    profile; any other archive is a miss that parses the feature file. A
+    hit and a miss write the same bytes."""
+
+    @staticmethod
+    def analyze(tmp_path, suffix="csv", *options):
+        feat = tmp_path / f"features.{suffix}"
+        features.save_features(random_matrix(np.random.default_rng(6), 40, 8), feat)
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(feat), "--out", str(out), *options]) == 0
+        (cache,) = out.glob("graph_*.npz")
+        return feat, out / "profile.csv", cache
+
+    @staticmethod
+    def run(monkeypatch, capsys, tmp_path, name, feat, profiles, mode="dense", *options):
+        """Files and stdout of one select --trace and one solver-mode rank
+        run in a fresh directory, with relative output names."""
+        run = tmp_path / name
+        run.mkdir()
+        monkeypatch.chdir(run)
+        capsys.readouterr()
+        common = ["--k", "4", "--profiles", str(profiles), *options]
+        assert cli.main(["select", str(feat), *common, "--mode", mode,
+                         "--out", "s.json", "--trace", "t.csv"]) == 0
+        assert cli.main(["rank", "--mode", "hub-first", "--features", str(feat), *common,
+                         "--affinity", mode, "--out", "r.csv"]) == 0
+        return {p.name: p.read_bytes() for p in run.iterdir()}, capsys.readouterr().out
+
+    def parsed(self, monkeypatch, capsys, tmp_path, feat, profiles, *args):
+        """The outputs of the same commands with no archive next to the profile."""
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "profile.csv").write_bytes(profiles.read_bytes())
+        return self.run(monkeypatch, capsys, tmp_path, "parsed", feat,
+                        alone / "profile.csv", *args)
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        calls = []
+        load = features.load_features
+        monkeypatch.setattr(features, "load_features", lambda path: calls.append(path) or load(path))
+        return calls
+
+    @pytest.mark.parametrize("suffix", ["csv", "fbin"])
+    @pytest.mark.parametrize("mode, options", [
+        ("dense", ()), ("knn-sparse", ()), ("knn-sparse", ("--n-lid", "10", "--k-hub", "5")),
+    ], ids=["dense", "knn-sparse", "knn-sparse narrower"])
+    def test_hit_parses_nothing_and_builds_no_graph(
+        self, tmp_path, monkeypatch, capsys, suffix, mode, options
+    ):
+        feat, profiles, _ = self.analyze(tmp_path, suffix)
+        want = self.parsed(monkeypatch, capsys, tmp_path, feat, profiles, mode, *options)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the archive serves the matrix and the graph")
+
+        monkeypatch.setattr(features, "load_features", refused)
+        monkeypatch.setattr(neighbors, "knn_graph", refused)
+        got = self.run(monkeypatch, capsys, tmp_path, "hit", feat, profiles, mode, *options)
+        assert got == want
+
+    def test_narrower_graph_is_rebuilt_from_the_cached_matrix(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        feat, profiles, _ = self.analyze(tmp_path, "csv", "--n-lid", "10", "--k-hub", "5",
+                                         "--m-div", "5")
+        want = self.parsed(monkeypatch, capsys, tmp_path, feat, profiles, "knn-sparse")
+        calls = self.count_parses(monkeypatch)
+        assert self.run(monkeypatch, capsys, tmp_path, "hit", feat, profiles,
+                        "knn-sparse") == want
+        assert calls == []
+
+    @pytest.mark.parametrize("miss", [
+        "profile elsewhere", "edited features", "no values member", "float32 values",
+        "values of fewer rows", "values of no column", "NaN value", "other ids",
+    ])
+    def test_miss_parses_and_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys, miss):
+        feat, profiles, cache = self.analyze(tmp_path)
+        if miss == "profile elsewhere":
+            elsewhere = tmp_path / "elsewhere"
+            elsewhere.mkdir()
+            profiles = elsewhere / "profile.csv"
+            profiles.write_bytes((tmp_path / "analysis" / "profile.csv").read_bytes())
+        elif miss == "edited features":
+            m = features.load_features(feat)
+            m.values[3, 0] += 0.5
+            features.save_features(m, feat)
+        else:
+            with np.load(cache) as z:
+                arrays = dict(z)
+            values = arrays["values"]
+            with_nan = values.copy()
+            with_nan[0, 7] = np.nan
+            arrays["values"] = {
+                "no values member": None,
+                "float32 values": values.astype(np.float32),
+                "values of fewer rows": values[:-1],
+                "values of no column": values[:, :0],
+                "NaN value": with_nan,
+                "other ids": values,
+            }[miss]
+            if arrays["values"] is None:  # the archive layout before the matrix
+                del arrays["values"]
+            if miss == "other ids":
+                arrays["ids"] = np.array([f"z{i}" for i in range(len(arrays["ids"]))])
+            np.savez(cache, **arrays)
+        want = self.parsed(monkeypatch, capsys, tmp_path, feat, profiles)
+        calls = self.count_parses(monkeypatch)
+        assert self.run(monkeypatch, capsys, tmp_path, "miss", feat, profiles) == want
+        assert calls == [str(feat)] * 2
+
+    def test_faulty_feature_file_fails_as_without_archive(self, tmp_path, monkeypatch, capsys):
+        feat, profiles, _ = self.analyze(tmp_path)
+        feat.write_text(feat.read_text().replace(",", ",x", 1))
+        assert cli.main(["select", str(feat), "--k", "4", "--profiles", str(profiles),
+                         "--out", str(tmp_path / "s.json")]) == 1
+        assert f"{feat}: row 1: could not convert string to float" in capsys.readouterr().err
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["select", str(missing), "--k", "4", "--profiles", str(profiles),
+                         "--out", str(tmp_path / "s.json")]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert cli.main(["select", str(tmp_path / "missing.txt"), "--k", "4", "--profiles",
+                         str(profiles), "--out", str(tmp_path / "s.json")]) == 1
+        assert "cannot infer feature format" in capsys.readouterr().err
+
+    def test_fbin_values_round_trip_bit_identical(self, tmp_path):
+        feat, _, cache = self.analyze(tmp_path, "fbin")
+        with np.load(cache) as z:
+            values = z["values"]
+        parsed = features.load_features(feat).values
+        assert values.dtype == np.float64
+        assert values.view(np.uint64).tobytes() == parsed.view(np.uint64).tobytes()
+
+    def test_one_final_product_per_process(self, workspace, tmp_path, monkeypatch):
+        """A dense A is multiplied by y at the start of the solve and once at
+        its end; the KKT residual, the rounding, the objective and the
+        ranking share that last product."""
+        class Counted(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counted.products += 1
+                return np.asarray(self) @ other
+
+        build = selector.build_problem
+
+        def counted(*args, **kwargs):
+            problem = build(*args, **kwargs)
+            problem.a = problem.a.view(Counted)
+            return problem
+
+        monkeypatch.setattr(selector, "build_problem", counted)
+        feat, profiles = str(workspace["features"]), str(workspace["analysis"] / "profile.csv")
+        for argv in (
+            ["select", feat, "--k", "4", "--out", str(tmp_path / "s.json")],
+            ["rank", "--mode", "hub-first", "--features", feat, "--k", "4",
+             "--profiles", profiles, "--out", str(tmp_path / "r.csv")],
+        ):
+            Counted.products = 0
+            assert cli.main(argv) == 0
+            assert Counted.products == 2, argv[0]
+
+
 class TestRank:
     def test_hub_baseline_matches_library(self, workspace, tmp_path):
         out = tmp_path / "run.csv"
@@ -823,6 +999,19 @@ def test_unknown_affinity_fails_before_any_file_is_read(
     }[command]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: unknown affinity mode 'bogus'\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "select"])
+def test_one_fragment_collection_names_the_count(tmp_path, capsys, command):
+    feat = tmp_path / "one.csv"
+    feat.write_text("a,1.0,0.0\n")
+    argv = {
+        "analyze": ["analyze", str(feat), "--out", str(tmp_path / "out")],
+        "select": ["select", str(feat), "--k", "1", "--linear",
+                   "--out", str(tmp_path / "s.json")],
+    }[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: need at least 2 fragments, got 1\n"
 
 
 class TestEval:
