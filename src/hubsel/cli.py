@@ -60,23 +60,28 @@ def _feature_key(path) -> tuple[str, str]:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest(), fmt
 
 
-def _archive(directory: Path, digest: str, fmt: str, metric: str):
-    """``(path, matrix, graph, members)``: the path of the analyze archive
-    of these feature bytes under ``metric`` in ``directory`` and what it
-    holds, the last three None unless it is keyed on this SHA-256, format
-    and metric and holds float64 values that ``FeatureMatrix`` accepts."""
-    path = directory / f"graph_{digest[:12]}_{metric}.npz"
-    miss = path, None, None, None
-    if not path.exists():
-        return miss
-    try:
-        ids, g, stored = neighbors.load_graph(path, _CACHE_MEMBERS)
-        key = (stored["sha256"].tolist(), stored["format"].tolist(), g.metric)
-        if key != (digest, fmt, metric) or stored["values"].dtype != np.float64:
-            return miss
-        m = features.FeatureMatrix(ids, np.ascontiguousarray(stored["values"]))
-    except ValueError:
-        return miss
+def _inputs(args, digest: str, fmt: str, directory: Path, ids=None):
+    """``(path, matrix, graph, members)`` of a command on the feature bytes
+    keyed ``digest`` and ``fmt``: the path of their analyze archive under
+    ``args.metric`` in ``directory``, and what it holds when it is keyed on
+    this SHA-256, format and metric, holds float64 values that
+    ``FeatureMatrix`` accepts and, given ``ids``, these ids. Any other
+    archive is a miss, which parses ``args.features`` and returns no graph
+    and no members. A graph narrower than the command's width is None."""
+    path = directory / f"graph_{digest[:12]}_{args.metric}.npz"
+    m = None
+    if path.exists():
+        try:
+            archived, g, stored = neighbors.load_graph(path, _CACHE_MEMBERS)
+            key = (stored["sha256"].tolist(), stored["format"].tolist(), g.metric)
+            if key == (digest, fmt, args.metric) and stored["values"].dtype == np.float64:
+                m = features.FeatureMatrix(archived, np.ascontiguousarray(stored["values"]))
+        except ValueError:
+            pass
+    if m is None or (ids is not None and ids != m.ids):
+        return path, features.load_features(args.features), None, None
+    if g.k < min(_checked_graph_k(args), g.n - 1):
+        g = None
     return path, m, g, stored
 
 
@@ -87,16 +92,12 @@ def _profile(args, out_dir: Path) -> stats.StatProfile:
     graph or another width is recomputed on the cached matrix. A missing or
     unusable archive is rebuilt from a parse. Either replaces the archive."""
     digest, fmt = _feature_key(args.features)
-    cache, m, g, stored = _archive(out_dir, digest, fmt, args.metric)
-    if g is not None and g.k < min(_checked_graph_k(args), g.n - 1):
-        g = None
+    cache, m, g, stored = _inputs(args, digest, fmt, out_dir)
     if g is not None and stored["diversity_width"].tolist() == min(args.m_div, g.k):
         div = stored["diversity"]
         if div.dtype == np.float64 and div.shape == (g.n,) and np.isfinite(div).all():
             hub, lid = stats.hubness_and_lid(g, args.k_hub, args.n_lid)
             return stats.StatProfile(m.ids, hub, lid, stats.DiversityProfile(args.m_div, div))
-    if m is None:
-        m = features.load_features(args.features)
     if g is None:
         g = _build_graph(m, args)
     profile = stats.compute_profile(m, g, k_hub=args.k_hub, n_lid=args.n_lid, m_div=args.m_div)
@@ -151,27 +152,21 @@ def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=Non
     affinity = _AFFINITY_NAMES.get(affinity_name)
     if affinity is None:
         raise ValueError(f"unknown affinity mode '{affinity_name}'")
-    m = graph = None
     if args.profiles:
-        key = _feature_key(args.features)
-        _, m, graph, _ = _archive(Path(args.profiles).parent, *key, args.metric)
-    cached = m is not None
-    m = m if cached else features.load_features(args.features)
-    if args.profiles:
+        digest, fmt = _feature_key(args.features)
         profile = stats.load_profile_csv(args.profiles)
-        if cached and profile.ids != m.ids:  # an archive that disagrees with its profile
-            m, graph = features.load_features(args.features), None
+        _, m, graph, _ = _inputs(args, digest, fmt, Path(args.profiles).parent, profile.ids)
         if profile.ids != m.ids:
             raise ValueError(f"profile ids do not match feature ids ({args.profiles})")
         hub, lid = profile.hubness, profile.lid
     else:
+        m = features.load_features(args.features)
         graph = _build_graph(m, args)
         hub, lid = stats.hubness_and_lid(graph, args.k_hub, args.n_lid)
     if affinity == "knn_sparse" and not linear:
-        width = _checked_graph_k(args)
-        if graph is None or graph.k < min(width, m.n - 1):
+        if graph is None:
             graph = _build_graph(m, args)
-        graph = graph.truncated(width)  # the first columns of a wider exact graph
+        graph = graph.truncated(_checked_graph_k(args))  # the first columns of a wider exact graph
     else:
         graph = None  # freed before a dense A is built: no other affinity reads it
     problem = selector.build_problem(

@@ -120,8 +120,9 @@ def _workers() -> int:
 
 
 def _distances(x, y, metric: str) -> np.ndarray:
-    # imported here: scipy.spatial costs ~0.5 s of start-up, which commands
-    # that compute no distance (eval, baseline rank, fuse, --help) skip
+    # imported here: scipy.spatial costs ~0.28 s of start-up, the
+    # scipy.sparse it loads included, which commands that compute no
+    # distance (eval, baseline rank, fuse, --help) skip
     from scipy.spatial.distance import cdist
 
     D = cdist(x, y, metric=metric)

@@ -124,7 +124,7 @@ def build_problem(
     linear : bool
         Drop the quadratic term, A = 0 (allows k = 1).
     """
-    # imported here: scipy.sparse costs ~0.2 s of start-up, which commands
+    # imported here: scipy.sparse costs ~0.15 s of start-up, which commands
     # that build no problem (eval, baseline rank, fuse) skip
     from scipy import sparse
 
@@ -185,17 +185,10 @@ def _pair_divisor(k: int) -> int:
     return max(k * (k - 1), 1)
 
 
-def _objective_at(p: SelectionProblem, v: np.ndarray, av: np.ndarray) -> float:
-    return (float(v @ p.h) - float(v @ p.d_risk)) / p.k + float(v @ av) / _pair_divisor(p.k)
-
-
-def _rewards_at(p: SelectionProblem, av: np.ndarray) -> np.ndarray:
-    return (p.h - p.d_risk) / p.k + 2.0 * av / _pair_divisor(p.k)
-
-
 def _product(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
-    """A@y, kept for the last y asked for, so the solver's final pass also
-    serves the rounding, the objective and the ranking of the same y."""
+    """A@y, the one product the objective and the rewards read, kept for
+    the last y asked for, so the solver's final pass also serves the
+    rounding, the objective and the ranking of the same y."""
     if p._last is None or not np.array_equal(p._last[0], y):
         p._last = (np.array(y), p.a @ y)
     return p._last[1]
@@ -203,12 +196,13 @@ def _product(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
 
 def objective(p: SelectionProblem, y: np.ndarray) -> float:
     """Objective f(y). No budget check, so perturbed y may be evaluated."""
-    return _objective_at(p, y, _product(p, y))
+    ay = _product(p, y)
+    return (float(y @ p.h) - float(y @ p.d_risk)) / p.k + float(y @ ay) / _pair_divisor(p.k)
 
 
 def rewards(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
     """Gradient of the objective: r = H/k - D/k + 2Ay / (k (k - 1))."""
-    return _rewards_at(p, _product(p, y))
+    return (p.h - p.d_risk) / p.k + 2.0 * _product(p, y) / _pair_divisor(p.k)
 
 
 def reward(p: SelectionProblem, y: np.ndarray, i: int) -> float:
@@ -295,9 +289,8 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
 
     y = _initial_vector(p, cfg)  # updated in place
     denom = _pair_divisor(k)
-    ay = p.a @ y
-    r = _rewards_at(p, ay)
-    f = _objective_at(p, y, ay)
+    r = rewards(p, y)  # a fresh array, updated in place
+    f = objective(p, y)
 
     objs = [f]
     updates: list[tuple] = []
@@ -389,11 +382,7 @@ def round_selection(y: np.ndarray, p: SelectionProblem) -> list[int]:
 
 def ranking_order(y: np.ndarray, p: SelectionProblem) -> list[int]:
     """All indices by descending y, then descending reward, then index."""
-    return _order(y, rewards(p, y))
-
-
-def _order(y: np.ndarray, r: np.ndarray) -> list[int]:
-    order = np.lexsort((np.arange(y.size), -r, -y))
+    order = np.lexsort((np.arange(y.size), -rewards(p, y), -y))
     return [int(i) for i in order]
 
 
@@ -407,15 +396,14 @@ def save_solution(
 ) -> list[int]:
     """Write the solver result as JSON (fresh objective, selected ids) and
     return the selected indices, as :func:`round_selection` gives them."""
-    ay = _product(p, y)
-    selected = _order(y, _rewards_at(p, ay))[: p.k]
+    selected = round_selection(y, p)
     payload = {
         "k": p.k,
         "init": init_label,
         "iterations": trace.iterations,
         "converged": trace.converged,
         "kkt_residual": trace.kkt_residual,
-        "objective": _objective_at(p, y, ay),
+        "objective": objective(p, y),
         "selected": [ids[i] for i in selected],
         "y": [float(v) for v in y],
     }

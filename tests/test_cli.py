@@ -838,6 +838,15 @@ class TestProfilesReuseTheArchive:
         assert cli.main(["select", str(tmp_path / "missing.txt"), "--k", "4", "--profiles",
                          str(profiles), "--out", str(tmp_path / "s.json")]) == 1
         assert "cannot infer feature format" in capsys.readouterr().err
+        # the feature file is checked before the profile is read
+        absent = str(tmp_path / "absent" / "profile.csv")
+        assert cli.main(["select", str(tmp_path / "missing.txt"), "--k", "4", "--profiles",
+                         absent, "--out", str(tmp_path / "s.json")]) == 1
+        assert "cannot infer feature format" in capsys.readouterr().err
+        assert cli.main(["select", str(missing), "--k", "4", "--profiles", absent,
+                         "--out", str(tmp_path / "s.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and absent not in err
 
     def test_fbin_values_round_trip_bit_identical(self, tmp_path):
         feat, _, cache = self.analyze(tmp_path, "fbin")

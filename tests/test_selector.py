@@ -429,20 +429,27 @@ class TestRounding:
 
 class TestSerialization:
     def test_solution_json(self, tmp_path):
-        p = random_selection_problem(np.random.default_rng(26), n=6, k=2)
-        y, trace = solve(p, SolverConfig(init="hub_first"))
-        ids = [f"f{i}" for i in range(6)]
-        out = tmp_path / "solution.json"
-        save_solution(out, ids, p, y, trace, init_label="hub-first")
         import json
 
-        payload = json.loads(out.read_text())
-        assert payload["k"] == 2
-        assert payload["init"] == "hub-first"
-        assert len(payload["selected"]) == 2
-        assert len(payload["y"]) == 6
-        assert payload["converged"] == trace.converged
-        assert payload["objective"] == pytest.approx(objective(p, y), abs=0)
+        ids = [f"f{i}" for i in range(6)]
+        for kind in ("dense", "csr", "linear k=1"):
+            p = random_selection_problem(np.random.default_rng(26), n=6, k=2)
+            if kind == "csr":
+                p.a = sparse.csr_matrix(p.a)
+            elif kind == "linear k=1":
+                p.a, p.k = sparse.csr_matrix((6, 6)), 1
+            y, trace = solve(p, SolverConfig(init="hub_first"))
+            out = tmp_path / "solution.json"
+            selected = save_solution(out, ids, p, y, trace, init_label="hub-first")
+
+            payload = json.loads(out.read_text())
+            assert payload["k"] == p.k, kind
+            assert payload["init"] == "hub-first"
+            assert selected == round_selection(y, p), kind
+            assert payload["selected"] == [ids[i] for i in round_selection(y, p)], kind
+            assert len(payload["y"]) == 6
+            assert payload["converged"] == trace.converged
+            assert payload["objective"] == pytest.approx(objective(p, y), abs=0), kind
 
     def test_trace_csv(self, tmp_path):
         p = random_selection_problem(np.random.default_rng(27), n=8, k=3)
