@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hubsel import evaluation, features, neighbors, selector, stats
+from hubsel import evaluation, features, neighbors, selector, stats, table
 
 _INIT_NAMES = {"hub-first": "hub_first", "lid-first": "lid_first", "uniform": "uniform"}
 _AFFINITY_NAMES = {"dense": "dense", "knn-sparse": "knn_sparse"}
@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
         report = {"K": args.depth, "mean_subjective": sum(vals) / len(vals)}
     print(json.dumps(report, indent=2))
     if args.out:
-        evaluation.save_report(args.out, report)
+        table.write_json(args.out, report)
     return 0
 
 

@@ -158,19 +158,19 @@ def load_scores(path) -> dict[str, float]:
     """Read ``fragment_id,score`` rows; scores must lie in [0, 15] and each
     fragment id may appear once."""
     scores: dict[str, float] = {}
-    for lineno, (fid, val) in table.read_rows(path, 2, SCORES_HEADER):
-        try:
-            v = float(val)
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-        if not (SCORE_MIN <= v <= SCORE_MAX):
-            raise ValueError(
-                f"{path}: row {lineno}: score {v!r} outside [{SCORE_MIN}, {SCORE_MAX}]"
-            )
+    for lineno, (fid, v) in table.read_rows(path, 2, SCORES_HEADER, parse=_score_row):
         if fid in scores:
             raise ValueError(f"{path}: row {lineno}: repeated fragment id '{fid}'")
         scores[fid] = v
     return scores
+
+
+def _score_row(parts) -> tuple[str, float]:
+    fid, val = parts
+    v = float(val)
+    if not (SCORE_MIN <= v <= SCORE_MAX):
+        raise ValueError(f"score {v!r} outside [{SCORE_MIN}, {SCORE_MAX}]")
+    return fid, v
 
 
 def save_run(path, rankings) -> None:
@@ -187,22 +187,15 @@ def save_run(path, rankings) -> None:
 
 def load_run(path) -> list[Ranking]:
     """Reload rankings written by :func:`save_run`, ranks must be 1..len."""
-    per_query: dict[str, list[tuple[int, str]]] = {}
-    order: list[str] = []
-    for lineno, (qid, rank_s, fid) in table.read_rows(path, 3, RUN_HEADER):
-        try:
-            rank = int(rank_s)
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-        if qid not in per_query:
-            per_query[qid] = []
-            order.append(qid)
-        per_query[qid].append((rank, fid))
+    parsed = table.read_rows(path, 3, RUN_HEADER, parse=lambda r: (r[0], int(r[1]), r[2]))
+    per_query: dict[str, list[tuple[int, str]]] = {}  # in first-seen order
+    for _, (qid, rank, fid) in parsed:
+        per_query.setdefault(qid, []).append((rank, fid))
     if not per_query:
         raise ValueError(f"{path}: empty run file")
     rankings = []
-    for qid in order:
-        rows = sorted(per_query[qid])
+    for qid, rows in per_query.items():
+        rows.sort()
         if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: ranks for query '{qid}' are not contiguous from 1")
         try:
@@ -210,7 +203,3 @@ def load_run(path) -> list[Ranking]:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return rankings
-
-
-def save_report(path, report: dict) -> None:
-    table.write_json(path, report)

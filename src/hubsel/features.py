@@ -116,9 +116,7 @@ def load_features(path) -> FeatureMatrix:
     load = _load_csv if feature_format(path) == "csv" else _load_fbin
     try:
         ids, values, lines = load(path)
-    except FeatureFormatError:
-        raise
-    except ValueError as exc:  # from table.read_rows: a line that is not UTF-8
+    except ValueError as exc:  # table.read_rows raises a plain ValueError
         raise FeatureFormatError(str(exc)) from None
     try:
         return FeatureMatrix(ids=ids, values=values)
@@ -128,31 +126,26 @@ def load_features(path) -> FeatureMatrix:
         raise FeatureFormatError(f"{path}: row {lines[row]}: {fault}") from None
 
 
-def _load_csv(path) -> tuple[list[str], np.ndarray, list[int]]:
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    lines: list[int] = []
-    d = None
-    for lineno, (ident, *tokens) in table.read_rows(path):
+def _load_csv(path) -> tuple[list[str], np.ndarray, tuple[int, ...]]:
+    d = None  # the first row's value count, which every row must have
+
+    def parse(parts):
+        nonlocal d
+        ident, *tokens = parts
         if not tokens:
-            raise FeatureFormatError(
-                f"{path}: row {lineno}: expected 'id,v1,...,vd', got 1 field(s)"
-            )
+            raise ValueError("expected 'id,v1,...,vd', got 1 field(s)")
         if d is None:
             d = len(tokens)
         elif len(tokens) != d:
-            raise FeatureFormatError(
-                f"{path}: row {lineno}: expected {d} values, got {len(tokens)}"
-            )
-        try:
-            rows.append(list(map(float, tokens)))
-        except ValueError as exc:
-            raise FeatureFormatError(f"{path}: row {lineno}: {exc}") from None
-        ids.append(ident)
-        lines.append(lineno)
-    if not ids:
+            raise ValueError(f"expected {d} values, got {len(tokens)}")
+        return ident, list(map(float, tokens))
+
+    rows = list(table.read_rows(path, parse=parse))
+    if not rows:
         raise FeatureFormatError(f"{path}: empty feature file")
-    return ids, np.array(rows, dtype=np.float64), lines
+    lines, rows = zip(*rows)
+    ids, values = zip(*rows)
+    return list(ids), np.array(values, dtype=np.float64), lines
 
 
 def _load_fbin(path) -> tuple[list[str], np.ndarray, range]:

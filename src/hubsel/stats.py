@@ -27,6 +27,7 @@ LID_CAP = 1.0e6
 
 # the labels hubness_scores gives; the profile loader accepts no other
 CATEGORIES = ("hub", "normal", "anti_hub")
+_INT64_MAX = 2**63 - 1  # the largest N_k the int64 score array holds
 
 
 @dataclass
@@ -255,37 +256,18 @@ def load_profile_csv(path) -> StatProfile:
     """Reload a profile written by :func:`save_profile_csv`.
 
     The CSV carries no parameter metadata, so k, n_nbr and m_nbr read 0.
-    A row holding a value no writer produces (an N_k that is not a
-    non-negative integer, a category other than hub, normal or anti_hub,
-    a non-finite lid or diversity, a degenerate flag other than 0 or 1)
-    raises ``ValueError`` naming the path and the row, and so does then
-    an id that breaks the feature id rule (:func:`first_fault`).
+    A row holding a value no writer produces (an N_k that is not an
+    integer in [0, 2**63 - 1], a category other than hub, normal or
+    anti_hub, a non-finite lid or diversity, a degenerate flag other than
+    0 or 1) raises ``ValueError`` naming the path and the row, and so does
+    then an id that breaks the feature id rule (:func:`first_fault`).
     """
-    ids: list[str] = []
-    scores, cats, lids, degs, divs, lines = [], [], [], [], [], []
-    for lineno, (ident, n_k, cat, lid, deg, div) in table.read_rows(path, 6, PROFILE_HEADER):
-        try:
-            score, lid_v, div_v = int(n_k), float(lid), float(div)
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-        if score < 0:
-            raise ValueError(f"{path}: row {lineno}: N_k {n_k!r} is negative")
-        if cat not in CATEGORIES:
-            raise ValueError(f"{path}: row {lineno}: category {cat!r} is not one of {CATEGORIES}")
-        for name, text, value in (("lid", lid, lid_v), ("diversity", div, div_v)):
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: row {lineno}: {name} {text!r} is not finite")
-        if deg not in ("0", "1"):
-            raise ValueError(f"{path}: row {lineno}: degenerate {deg!r} is not 0 or 1")
-        ids.append(ident)
-        scores.append(score)
-        cats.append(cat)
-        lids.append(lid_v)
-        degs.append(deg == "1")
-        divs.append(div_v)
-        lines.append(lineno)
-    if not ids:
+    rows = list(table.read_rows(path, 6, PROFILE_HEADER, parse=_profile_row))
+    if not rows:
         raise ValueError(f"{path}: empty profile file")
+    lines, rows = zip(*rows)
+    ids, scores, cats, lids, degs, divs = zip(*rows)
+    ids = list(ids)
     if fault := first_fault(ids):
         raise ValueError(f"{path}: row {lines[fault[0]]}: {fault[1]}")
     return StatProfile(
@@ -302,6 +284,24 @@ def load_profile_csv(path) -> StatProfile:
         ),
         diversity=DiversityProfile(m_nbr=0, values=np.array(divs, dtype=np.float64)),
     )
+
+
+def _profile_row(parts) -> tuple:
+    """One profile row parsed, or the first value in it no writer produces."""
+    ident, n_k, cat, lid, deg, div = parts
+    score, lid_v, div_v = int(n_k), float(lid), float(div)
+    if score < 0:
+        raise ValueError(f"N_k {n_k!r} is negative")
+    if score > _INT64_MAX:
+        raise ValueError(f"N_k {n_k!r} is out of range")
+    if cat not in CATEGORIES:
+        raise ValueError(f"category {cat!r} is not one of {CATEGORIES}")
+    for name, text, value in (("lid", lid, lid_v), ("diversity", div, div_v)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {text!r} is not finite")
+    if deg not in ("0", "1"):
+        raise ValueError(f"degenerate {deg!r} is not 0 or 1")
+    return ident, score, cat, lid_v, deg == "1", div_v
 
 
 def save_summary_json(profile: StatProfile, path) -> dict:

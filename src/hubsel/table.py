@@ -11,6 +11,9 @@ JSON files are UTF-8, indented by 2, with a trailing newline.
 from __future__ import annotations
 
 import json
+import re
+
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def check_id(ident: str, what: str) -> None:
@@ -19,31 +22,32 @@ def check_id(ident: str, what: str) -> None:
         raise ValueError(f"{what} {ident!r} contains ',', '\\r', '\\n' or '\\x00'")
 
 
-def read_rows(path, fields: int | None = None, header: str | None = None):
-    """Yield ``(lineno, parts)`` for every data row of the table at ``path``.
+def read_rows(path, fields: int | None = None, header: str | None = None, parse=None):
+    """Yield ``(lineno, parts)`` for every data row of the table at ``path``,
+    or ``(lineno, parse(parts))`` with ``parse`` given.
 
     A line that is not valid UTF-8 raises ValueError naming the path and
     the row. With ``fields`` given, a row of any other width does too;
-    without it the caller checks widths.
+    without it the caller checks widths. So does any ValueError that
+    ``parse`` raises: it names the fault, this adds the path and the row.
     """
-    # undecodable bytes come through as lone surrogates, found line by line
-    # so the error can name the row; an ASCII line can hold none
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValueError(f"{path}: row {lineno}: not valid UTF-8") from None
             line = line.rstrip("\r\n")
             if not line.strip() or (lineno == 1 and line == header):
                 continue
-            parts = line.split(",")
-            if fields is not None and len(parts) != fields:
-                raise ValueError(
-                    f"{path}: row {lineno}: expected {fields} fields, got {len(parts)}"
-                )
-            yield lineno, parts
+            try:
+                # undecodable bytes come through as lone surrogates; an
+                # ASCII line can hold none
+                if not line.isascii() and _ESCAPED.search(line):
+                    raise ValueError("not valid UTF-8")
+                parts = line.split(",")
+                if fields is not None and len(parts) != fields:
+                    raise ValueError(f"expected {fields} fields, got {len(parts)}")
+                row = parts if parse is None else parse(parts)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {lineno}: {exc}") from None
+            yield lineno, row
 
 
 def write_rows(path, rows, header: str | None = None) -> None:

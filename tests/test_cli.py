@@ -757,6 +757,22 @@ class TestProfilesReuseTheArchive:
         monkeypatch.setattr(features, "load_features", lambda path: calls.append(path) or load(path))
         return calls
 
+    @pytest.mark.parametrize("archive", [True, False], ids=["archive", "no archive"])
+    def test_other_ids_than_the_features_exit_1(self, tmp_path, capsys, archive):
+        feat, profiles, cache = self.analyze(tmp_path)
+        if not archive:
+            cache.unlink()
+        header, first, *rest = profiles.read_text().splitlines(keepends=True)
+        profiles.write_text(header + "other" + first[first.index(","):] + "".join(rest))
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        assert cli.main(["select", str(feat), "--k", "4", "--profiles", str(profiles),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: profile ids do not match feature ids ({profiles})\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("suffix", ["csv", "fbin"])
     @pytest.mark.parametrize("mode, options", [
         ("dense", ()), ("knn-sparse", ()), ("knn-sparse", ("--n-lid", "10", "--k-hub", "5")),
@@ -1070,6 +1086,14 @@ class TestEval:
         assert cli.main(["eval", "--run", str(run), "--gt", str(gt)]) == 1
         assert "q2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, option", [("map", "--gt"), ("subjective", "--scores")])
+    def test_kind_without_its_table_exits_1(self, tmp_path, capsys, kind, option):
+        run = self.write_run(tmp_path)
+        report = tmp_path / "report.json"
+        assert cli.main(["eval", "--run", str(run), "--kind", kind, "--out", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: kind '{kind}' requires {option}\n"
+        assert not report.exists()
+
     def test_missing_run_exits_2(self, tmp_path, capsys):
         code = cli.main(["eval", "--run", str(tmp_path / "absent.csv")])
         assert code == 2
@@ -1077,6 +1101,7 @@ class TestEval:
 
 
 _DIALECT = "contains ',', '\\r', '\\n' or '\\x00'"
+_PROFILE = "id,N_k,category,lid,degenerate,diversity\n"
 
 
 @pytest.mark.parametrize("name, content, command, fault", [
@@ -1101,12 +1126,23 @@ _DIALECT = "contains ',', '\\r', '\\n' or '\\x00'"
      f"row 2: id 'b\\x00' {_DIALECT}"),
     ("bad.fbin", b"HLF1" + struct.pack("<II", 2, 1) + struct.pack("<2f", 1, 2)
      + b"\x01\x00a\x01\x00\xff", "select", "row 2: id is not valid UTF-8"),
+    ("bad.csv", "a,1.0\nb\n", "select", "row 2: expected 'id,v1,...,vd', got 1 field(s)"),
+    ("profile.csv", _PROFILE + "a,1,normal,2.0,0\n", "rank", "row 2: expected 6 fields, got 5"),
+    ("profile.csv", _PROFILE, "rank", "empty profile file"),
+    ("run.csv", "query_id,rank,fragment_id\n", "eval", "empty run file"),
+    ("profile.csv", _PROFILE + "a,-1,weird,nan,2,x\n", "rank",
+     "row 2: could not convert string to float: 'x'"),
+    ("profile.csv", _PROFILE + "a,100000000000000000000,normal,2.0,0,0.5\n", "rank",
+     "row 2: N_k '100000000000000000000' is out of range"),
+    ("profile.csv", _PROFILE + "a,100000000000000000000,normal,2.0,0,0.5\n",
+     "select --profiles", "row 2: N_k '100000000000000000000' is out of range"),
 ], ids=[
     "csv id with NUL", "csv duplicate after blank line", "csv inf", "csv bad token",
     "fbin duplicate", "fbin non-finite", "fbin id with comma", "fuse second file",
     "run duplicate item", "run query id with NUL",
     "csv not utf-8", "profile not utf-8", "profile duplicate id", "profile id with NUL",
-    "fbin id not utf-8",
+    "fbin id not utf-8", "csv one field", "profile short row", "profile empty", "run empty",
+    "profile several faults", "profile N_k beyond int64", "select profile N_k beyond int64",
 ])
 def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command, fault):
     """One line, ``error: <path>: <fault>``, exit 1 and no traceback; the
@@ -1126,6 +1162,8 @@ def test_rejected_input_names_its_file(tmp_path, capsys, name, content, command,
         "fuse": ["fuse", str(good), str(bad), "--out", str(tmp_path / "fused.csv")],
         "eval": ["eval", "--run", str(bad)],
         "rank": ["rank", "--mode", "hub", "--profiles", str(bad), "--out", out],
+        "select --profiles": ["select", str(good), "--k", "2", "--out", out,
+                              "--profiles", str(bad)],
     }[command]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {bad}: {fault}\n"

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from hubsel import table
 from hubsel.evaluation import (
     RUN_HEADER,
     Ranking,
@@ -13,7 +14,6 @@ from hubsel.evaluation import (
     load_scores,
     map_at_k,
     mean_subjective_at_k,
-    save_report,
     save_run,
 )
 from hubsel.stats import HubnessProfile, LidProfile, StatProfile, DiversityProfile
@@ -278,7 +278,7 @@ class TestFiles:
 
     def test_report_json(self, tmp_path):
         out = tmp_path / "report.json"
-        save_report(out, {"metric": "map", "depth": 10, "value": 0.75})
+        table.write_json(out, {"metric": "map", "depth": 10, "value": 0.75})
         import json
 
         data = json.loads(out.read_text())

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from hubsel import table
 from hubsel.features import (
     FeatureFormatError,
     FeatureMatrix,
@@ -60,6 +63,15 @@ class TestCsv:
         back = load_features(tmp_path / "m.csv")
         assert back.ids == m.ids
         assert np.array_equal(back.values, m.values)
+
+
+def test_read_rows_parses_each_row_and_names_its_fault(tmp_path):
+    p = write(tmp_path / "t.csv", "id,n\na,1\n\nb,2\nc,x\n")
+    rows = table.read_rows(p, 2, "id,n", parse=lambda r: (r[0], int(r[1])))
+    assert next(rows) == (2, ("a", 1))
+    assert next(rows) == (4, ("b", 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: row 5: invalid literal"):
+        next(rows)
 
 
 class TestFbin:
