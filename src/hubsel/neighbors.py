@@ -11,13 +11,19 @@ and block splits.
 
 Rows whose magnitudes would overflow, or underflow below the normal
 range, when squared are rescaled by a power of two first; inputs in the
-normal range are used as they are.
+normal range are used as they are. Distances come from the compiled
+kernels that scipy's ``cdist`` calls, loaded without the rest of
+``scipy.spatial``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
+import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,21 +99,63 @@ def _rescale_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _exponents(peak: np.ndarray, d: int) -> np.ndarray:
+    """Euclidean: for rows with largest magnitudes ``peak``, the exponent e_i
+    of each row's factor 2^e_i. The pair (i, j) is computed on both rows
+    scaled by 2^-max(e_i, e_j) and scaled back.
+
+    Every row starts under the collection's common factor: 1 when the
+    collection's largest magnitude is in range, else the power of two that
+    brings it into [0.5, 1). Rows that fall below the normal range under it take the
+    factor of their own largest magnitude, and so on down, so no pair of
+    them loses its digits. All-zero rows stay at the last factor."""
+    e = np.zeros(peak.shape, dtype=np.int64)
+    rows = np.arange(peak.size)
+    while rows.size and (top := float(peak[rows].max())) > 0.0:
+        level = 0 if _SMALLEST <= top <= _largest(d) else math.frexp(top)[1]
+        e[rows] = level
+        rows = rows[np.ldexp(peak[rows], -level) < _SMALLEST]
+    return e
+
+
 def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
-    """``(x, y, unscale)``: the rows scaled by powers of two so that every
-    square of a row's largest magnitude is normal and every sum of squares
-    stays finite, and the factor that maps Euclidean distances between the
-    scaled rows back. Rows already in range come back unchanged, so their
-    distances keep every bit."""
+    """``(x, y, unscale, lower)``: the rows scaled by powers of two so that
+    the square of the largest magnitude is normal (every row's, for
+    cosine) and every sum of squares stays finite, the factor that maps
+    Euclidean distances between the scaled rows back, and ``lower``: None,
+    or for Euclidean rows that fall below the normal range under that
+    common factor the ``(ex, ey, levels)`` that :func:`_lower_pairs` takes.
+    Rows already in range come back unchanged, so their distances keep
+    every bit."""
+    same = y is x
     if metric == "cosine":
         xs = _rescale_rows(x)
-        return xs, (xs if y is x else _rescale_rows(y)), 1.0
-    peak = max(float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0)))
-    if _SMALLEST <= peak <= _largest(x.shape[1]):
-        return x, y, 1.0
-    e = math.frexp(peak)[1]
-    xs = np.ldexp(x, -e)
-    return xs, (xs if y is x else np.ldexp(y, -e)), math.ldexp(1.0, e)
+        return xs, (xs if same else _rescale_rows(y)), 1.0, None
+    peak = np.abs(x).max(axis=1, initial=0.0)
+    if not same:
+        peak = np.concatenate([peak, np.abs(y).max(axis=1, initial=0.0)])
+    e = _exponents(peak, x.shape[1])
+    levels = np.unique(e)[::-1]
+    lower = (e[: len(x)], e if same else e[len(x) :], levels[1:]) if levels.size > 1 else None
+    top = int(levels[0]) if levels.size else 0
+    if top:
+        x = np.ldexp(x, -top)
+        y = x if same else np.ldexp(y, -top)
+    return x, y, math.ldexp(1.0, top), lower
+
+
+def _lower_pairs(D, x, y, ex, ey, levels, metric: str) -> None:
+    """Recompute in ``D``, in true units, the Euclidean distances between
+    the rows of ``x`` and ``y`` that fell below the normal range under the
+    common factor: with ``ex``, ``ey`` and the lower ``levels`` (descending)
+    from :func:`_in_range`, the pair (i, j) on both rows scaled by
+    2^-max(e_i, e_j), each level overwriting the one above it."""
+    for e in levels.tolist():
+        rx, ry = np.flatnonzero(ex <= e), np.flatnonzero(ey <= e)
+        if rx.size and ry.size:
+            D[np.ix_(rx, ry)] = _distances(
+                np.ldexp(x[rx], -e), np.ldexp(y[ry], -e), metric
+            ) * math.ldexp(1.0, e)
 
 
 def _workers() -> int:
@@ -119,13 +167,85 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _distances(x, y, metric: str) -> np.ndarray:
-    # imported here: scipy.spatial costs ~0.28 s of start-up, the
-    # scipy.sparse it loads included, which commands that compute no
-    # distance (eval, baseline rank, fuse, --help) skip
-    from scipy.spatial.distance import cdist
+# cdist's compiled kernel for each metric, loaded on the first distance
+# of the process; empty when they cannot be loaded, and cdist serves both
+_KERNELS: dict | None = None
+_KERNELS_LOCK = threading.Lock()
 
-    D = cdist(x, y, metric=metric)
+
+def _extension(name: str):
+    """The compiled module ``scipy.spatial.<name>`` loaded on its own, or
+    the one ``scipy.spatial`` already holds once the package is imported."""
+    fullname = "scipy.spatial." + name
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "spatial"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(fullname)
+    if spec is None:
+        raise ImportError(f"no {fullname}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # a multi-phase module gets its functions here
+    return module
+
+
+def _load_kernels() -> dict:
+    """``{metric: f(x, y) -> D}``: the compiled functions that scipy's
+    ``cdist`` calls for cosine and euclidean (``scipy/spatial/distance.py``,
+    scipy 1.17), so D has cdist's bytes. Loading them skips the
+    ``scipy.spatial`` package: 0.45-0.52 s of start-up, 532 modules with
+    its KD-tree, qhull, ``scipy.linalg``, ``scipy.special`` and
+    ``scipy.sparse``, against ~5 ms for a process's first distance.
+    Empty when a module or function is missing, or a first call raises or
+    gives a wrong value: these modules are private to scipy, and older
+    releases may differ."""
+    try:
+        wrap, pybind = _extension("_distance_wrap"), _extension("_distance_pybind")
+        cosine_wrap = wrap.cdist_cosine_double_wrap
+
+        def cosine(x, y):
+            if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+                raise ValueError(f"cannot pair rows of shapes {x.shape} and {y.shape}")
+            D = np.empty((len(x), len(y)))
+            # reads its inputs as C-ordered float64, as cdist passes them
+            cosine_wrap(
+                np.ascontiguousarray(x, dtype=np.float64),
+                np.ascontiguousarray(y, dtype=np.float64), D,
+            )
+            return D
+
+        kernels = {"cosine": cosine, "euclidean": pybind.cdist_euclidean}
+        probe = np.eye(2)
+        for metric, want in (("cosine", 1.0), ("euclidean", math.sqrt(2.0))):
+            if kernels[metric](probe[:1], probe[1:])[0, 0] != want:
+                raise ValueError(f"{metric} kernel gives another distance")
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return {}
+    return kernels
+
+
+def _kernel(metric: str):
+    """cdist's compiled kernel for ``metric``, or None where cdist serves it."""
+    global _KERNELS
+    with _KERNELS_LOCK:  # the pool's first blocks may ask at once
+        if _KERNELS is None:
+            _KERNELS = _load_kernels()
+        return _KERNELS.get(metric)
+
+
+def _distances(x, y, metric: str) -> np.ndarray:
+    kernel = _kernel(metric)
+    if kernel is None:  # imported only here: the package costs 0.45-0.52 s
+        from scipy.spatial.distance import cdist
+
+        D = cdist(x, y, metric=metric)
+    else:
+        D = kernel(x, y)
     if metric == "cosine":
         np.clip(D, 0.0, None, out=D)
     return D
@@ -138,6 +258,8 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     whose squares would overflow or fall below the normal range are first
     rescaled by a power of two (each row on its own for cosine, all rows
     by one factor for euclidean), so finite inputs give finite distances.
+    Under euclidean, the pairs of rows that fall below the normal range
+    under that one factor are computed again under a factor of their own.
 
     Called with the same object as ``x`` and ``y``, it computes each
     unordered pair once: the upper triangle in row blocks, each mirrored
@@ -149,7 +271,8 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     """
     same = y is x
     x = np.asarray(x, dtype=np.float64)
-    x, y, unscale = _in_range(x, x if same else np.asarray(y, dtype=np.float64), metric)
+    y = x if same else np.asarray(y, dtype=np.float64)
+    xs, ys, unscale, lower = _in_range(x, y, metric)
     if same:
         n = x.shape[0]
         D = np.empty((n, n), dtype=np.float64)
@@ -161,16 +284,18 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
         # workers need no lock.
         def fill(s: int) -> None:
             e = min(s + block, n)
-            B = _distances(x[s:e], x[s:], metric)
+            B = _distances(xs[s:e], xs[s:], metric)
             D[s:e, s:] = B
             D[s:, s:e] = B.T
 
         with ThreadPoolExecutor(max_workers=_workers()) as pool:
             list(pool.map(fill, range(0, n, block)))  # re-raises a block's error
     else:
-        D = _distances(x, y, metric)
+        D = _distances(xs, ys, metric)
     if unscale != 1.0:
         D *= unscale
+    if lower is not None:
+        _lower_pairs(D, x, y, *lower, metric)
     return D
 
 
@@ -182,13 +307,21 @@ def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:
     and every pair counts once. Rows are brought into range once for the
     whole of ``x`` rather than once per group.
     """
-    x, _, unscale = _in_range(x, x, metric)
+    xs, _, unscale, lower = _in_range(x, x, metric)
+    if lower is not None:
+        e, _, levels = lower
+        below = e <= levels[0]
     iu = np.triu_indices(groups.shape[1], k=1)
     means = np.empty(len(groups), dtype=np.float64)
     for i, rows in enumerate(groups):
-        sub = x[rows]
-        means[i] = float(_distances(sub, sub, metric)[iu].mean())
-    return means * unscale
+        D = _distances(xs[rows], xs[rows], metric)
+        if lower is None or below[rows].sum() < 2:
+            means[i] = float(D[iu].mean()) * unscale
+        else:
+            D *= unscale
+            _lower_pairs(D, x[rows], x[rows], e[rows], e[rows], levels, metric)
+            means[i] = float(D[iu].mean())
+    return means
 
 
 @dataclass
@@ -265,7 +398,11 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         raise ValueError(f"need at least 2 fragments, got {n}")
     if metric == "cosine":
         check_cosine_rows(m)
-    X, _, unscale = _in_range(m.values, m.values, metric)
+    X, _, unscale, lower = _in_range(m.values, m.values, metric)
+    below = None
+    if lower is not None:
+        ex, _, levels = lower
+        below = ex <= levels[0]  # rows under a factor of their own
 
     # Why the shortlist is exact. Let A_ij be the value the exact pass
     # ranks row i by (the distance_matrix distance; its square for
@@ -280,9 +417,15 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     # distance), covers with room to spare: the product pass with its
     # norms and additions (gamma_{3d+6} for cosine, gamma_{d+2} for
     # euclidean); the cdist pass (gamma_{4d+6}; gamma_{d+4} on the
-    # squared value); underflow, at most d u against each sum, since
-    # after _in_range the largest square of every row is a normal float;
-    # and the few roundings of b_i and of the threshold themselves.
+    # squared value); underflow, below 6d u tiny in all (tiny the smallest
+    # normal float), which the rest of the budget covers since after
+    # _in_range (|x_i| + max_j |x_j|)^2 >= tiny (cosine: unit rows); and
+    # the few roundings of b_i and of the threshold themselves. A row that
+    # falls below the normal range under the common factor (_exponents)
+    # is ranked in true units, its pairs with other such rows computed
+    # under their own factor as distance_matrix computes them (_lower_pairs):
+    # each A_ij is still the exact value within the cdist pass's error, so
+    # the argument holds for its finite distances too.
     mu = (8 * d + 32) * _UNIT_ROUNDOFF
     b = mu / (1.0 - mu)
     if metric == "cosine":
@@ -313,13 +456,17 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
             kth = np.partition(row, k_eff - 1)[k_eff - 1]
             cand = np.flatnonzero(row <= kth + margin[i])
             dist = _distances(X[i : i + 1], X[cand], metric)[0]
+            if below is not None and below[i]:
+                dist *= unscale
+                _lower_pairs(dist[None], m.values[i : i + 1], m.values[cand],
+                             ex[i : i + 1], ex[cand], levels, metric)
             order = np.argsort(dist, kind="stable")[:k_eff]
             indices[i] = cand[order]
             distances[i] = dist[order]
         # freed before the next product, so one block is live at a time
         del approx, row
     if unscale != 1.0:
-        distances *= unscale
+        distances[slice(None) if below is None else ~below] *= unscale
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

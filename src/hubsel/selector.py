@@ -40,8 +40,10 @@ class SelectionProblem:
     d_risk : ndarray (n,)
         Risk term, min-max normalized to [0, 1].
     a : ndarray or scipy CSR matrix, (n, n)
-        Symmetric non-negative pairwise distances, zero diagonal; all
-        zero for a linear problem.
+        Symmetric, non-negative, zero diagonal. Dense mode: an ndarray of
+        every pairwise distance. knn_sparse mode: a CSR matrix of the kNN
+        edge distances, the larger of (i, j) and (j, i), zero off the
+        edges. A linear problem: an all-zero CSR matrix.
     k : int
         Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
@@ -124,10 +126,6 @@ def build_problem(
     linear : bool
         Drop the quadratic term, A = 0 (allows k = 1).
     """
-    # imported here: scipy.sparse costs ~0.15 s of start-up, which commands
-    # that build no problem (eval, baseline rank, fuse) skip
-    from scipy import sparse
-
     _check_metric(metric)
     if mode not in ("dense", "knn_sparse"):
         raise ValueError(f"unknown affinity mode '{mode}'")
@@ -149,13 +147,19 @@ def build_problem(
     else:
         warnings.warn("all lid estimates degenerate, risk vector is constant 1")
 
-    if linear:
-        a = sparse.csr_matrix((n, n), dtype=np.float64)
-    elif mode == "dense":
+    if mode == "dense" and not linear:
         if metric == "cosine":
             check_cosine_rows(m)
         a = distance_matrix(m.values, m.values, metric)
         np.fill_diagonal(a, 0.0)
+        return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
+    # imported here: scipy.sparse costs 0.22-0.28 s of start-up, which a
+    # dense A and the commands that build no problem (eval, baseline rank,
+    # fuse) skip
+    from scipy import sparse
+
+    if linear:
+        a = sparse.csr_matrix((n, n), dtype=np.float64)
     else:
         if graph is None:
             raise ValueError("knn_sparse mode requires a neighbor graph")

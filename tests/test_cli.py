@@ -425,12 +425,18 @@ print(json.dumps([code, [m for m in ("scipy.spatial", "scipy.sparse") if m in sy
 """
 
 
-@pytest.mark.parametrize("command", ["cached analyze", "eval", "rank hub", "fuse", "help"])
+@pytest.mark.parametrize("command", [
+    "cached analyze", "eval", "rank hub", "fuse", "help",
+    "cold analyze", "dense select", "solver rank", "sparse select",
+])
 def test_command_imports_no_scipy(workspace, tmp_path, command):
-    """scipy.spatial and scipy.sparse cost ~0.5 s of start-up, which only a
-    distance, a kNN scan or a selection problem needs."""
+    """scipy.spatial and scipy.sparse cost ~0.5 s of start-up. A distance
+    needs neither, only cdist's compiled kernels, so a cold analyze, a
+    dense select or a solver rank that loads scipy.spatial has fallen back
+    to cdist. Only a knn-sparse (or --linear) problem loads scipy.sparse."""
     feat, profile = str(workspace["features"]), str(workspace["analysis"] / "profile.csv")
     out, run, gt = tmp_path / "out", tmp_path / "run.csv", tmp_path / "gt.csv"
+    solution = str(tmp_path / "solution.json")
     if command == "cached analyze":
         assert cli.main(["analyze", feat, "--out", str(out)]) == 0
     elif command == "eval":
@@ -442,13 +448,19 @@ def test_command_imports_no_scipy(workspace, tmp_path, command):
         "rank hub": ["rank", "--mode", "hub", "--profiles", profile, "--out", str(run)],
         "fuse": ["fuse", feat, "--out", str(tmp_path / "fused.csv")],
         "help": ["--help"],
+        "cold analyze": ["analyze", feat, "--out", str(out)],
+        "dense select": ["select", feat, "--k", "5", "--profiles", profile, "--out", solution],
+        "solver rank": ["rank", "--mode", "hub-first", "--features", feat, "--k", "5",
+                        "--profiles", profile, "--out", str(run)],
+        "sparse select": ["select", feat, "--k", "5", "--mode", "knn-sparse", "--out", solution],
     }[command]
     src = Path(__file__).resolve().parents[1] / "src"
     child = subprocess.run(
         [sys.executable, "-c", _REPORT_IMPORTS, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    assert json.loads(child.stdout.splitlines()[-1]) == [0, []]
+    loaded = ["scipy.sparse"] if command == "sparse select" else []
+    assert json.loads(child.stdout.splitlines()[-1]) == [0, loaded]
 
 
 def test_import_loads_no_scipy():

@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,32 +405,130 @@ class TestExactKernel:
         assert_exact_graph(values, k, metric)
 
 
+@pytest.fixture
+def distance_paths(monkeypatch):
+    """Iterate to run a test body twice: on cdist's compiled kernels, and
+    with the cached kernel handle empty, so that cdist serves every metric.
+    The kernels must load here, or the first path would be cdist too."""
+    kernels = neighbors._load_kernels()
+    assert set(kernels) == set(neighbors.METRICS)
+
+    def paths():
+        for handle in (kernels, {}):
+            monkeypatch.setattr(neighbors, "_KERNELS", handle)
+            yield
+
+    return paths
+
+
+def _cdist(x, y, metric):
+    D = cdist(x, y, metric=metric)
+    if metric == "cosine":
+        np.clip(D, 0.0, None, out=D)
+    return D
+
+
+class TestKernels:
+    """cdist's compiled kernels, called without the scipy.spatial package."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_both_paths_give_cdist_bytes(self, distance_paths, metric):
+        rng = np.random.default_rng(39)
+        x = rng.normal(1.0, 1.0, (37, 16))
+        y = rng.standard_normal((16, 21)).T  # not C-contiguous
+        for _ in distance_paths():
+            assert neighbors._distances(x, y, metric).tobytes() == _cdist(x, y, metric).tobytes()
+            assert neighbors._distances(y, x[:0], metric).shape == (21, 0)
+            assert distance_matrix(x, x, metric).tobytes() == _cdist(x, x, metric).tobytes()
+
+    def test_cosine_kernel_rejects_unequal_widths(self, distance_paths):
+        for _ in distance_paths():
+            with pytest.raises(ValueError):
+                neighbors._distances(np.ones((2, 3)), np.ones((2, 4)), "cosine")
+
+    @pytest.mark.parametrize("fault", ["missing module", "missing function", "TypeError", "value"])
+    def test_kernels_that_fail_fall_back_to_cdist(self, monkeypatch, fault):
+        def wrong_call(*args):
+            raise TypeError("incompatible function arguments")
+
+        def extension(name):
+            if fault == "missing module":
+                raise ImportError(f"no {name}")
+            if fault == "missing function":
+                return types.SimpleNamespace()
+            if fault == "TypeError":
+                return types.SimpleNamespace(
+                    cdist_cosine_double_wrap=wrong_call, cdist_euclidean=wrong_call
+                )
+            return types.SimpleNamespace(
+                cdist_cosine_double_wrap=lambda x, y, out: out.fill(0.5),
+                cdist_euclidean=lambda x, y: np.full((len(x), len(y)), 0.5),
+            )
+
+        monkeypatch.setattr(neighbors, "_extension", extension)
+        monkeypatch.setattr(neighbors, "_KERNELS", None)
+        x = np.random.default_rng(40).standard_normal((9, 4))
+        for metric in ("cosine", "euclidean"):
+            assert distance_matrix(x, x, metric).tobytes() == _cdist(x, x, metric).tobytes()
+        assert neighbors._KERNELS == {}
+
+    def test_kernels_loaded_before_and_after_the_package(self):
+        """The kernels load on their own before scipy.spatial is imported,
+        and are the package's own modules after it; cdist's bytes both ways."""
+        code = """
+import sys
+import numpy as np
+from hubsel import neighbors
+rng = np.random.default_rng(41)
+x, y = rng.normal(1.0, 1.0, (30, 7)), rng.standard_normal((20, 7))
+runs = []
+for before_package in (True, False):
+    neighbors._KERNELS = None
+    runs.append({m: neighbors._distances(x, y, m).tobytes() for m in neighbors.METRICS})
+    assert set(neighbors._KERNELS) == set(neighbors.METRICS)
+    assert ("scipy.spatial" in sys.modules) != before_package
+    from scipy.spatial.distance import cdist
+for m in neighbors.METRICS:
+    want = np.clip(cdist(x, y, metric=m), 0.0, None) if m == "cosine" else cdist(x, y, metric=m)
+    assert runs[0][m] == runs[1][m] == want.tobytes(), m
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True
+        )
+
+
 class TestExtremeMagnitudes:
     """Finite rows whose squares overflow or leave the normal range."""
 
     @pytest.mark.parametrize("exponent", [700, -1000])
-    def test_power_of_two_scale_is_exact(self, exponent):
+    def test_power_of_two_scale_is_exact(self, distance_paths, exponent):
         values = np.random.default_rng(35).standard_normal((40, 5))
         big = np.ldexp(values, exponent)
-        cos, cos_big = knn_graph(_matrix(values), 6), knn_graph(_matrix(big), 6)
-        assert np.array_equal(cos.indices, cos_big.indices)
-        assert cos.distances.tobytes() == cos_big.distances.tobytes()
-        euc, euc_big = (knn_graph(_matrix(v), 6, "euclidean") for v in (values, big))
-        assert np.array_equal(euc.indices, euc_big.indices)
-        assert np.array_equal(np.ldexp(euc.distances, exponent), euc_big.distances)
-        assert_exact_graph(big, 6, "cosine")
-        assert_exact_graph(big, 6, "euclidean")
+        for _ in distance_paths():
+            cos, cos_big = knn_graph(_matrix(values), 6), knn_graph(_matrix(big), 6)
+            assert np.array_equal(cos.indices, cos_big.indices)
+            assert cos.distances.tobytes() == cos_big.distances.tobytes()
+            euc, euc_big = (knn_graph(_matrix(v), 6, "euclidean") for v in (values, big))
+            assert np.array_equal(euc.indices, euc_big.indices)
+            assert np.array_equal(np.ldexp(euc.distances, exponent), euc_big.distances)
+            assert_exact_graph(big, 6, "cosine")
+            assert_exact_graph(big, 6, "euclidean")
 
-    def test_distance_matrix_finite_near_overflow(self):
+    def test_distance_matrix_finite_near_overflow(self, distance_paths):
         values = np.random.default_rng(36).normal(1.0, 1.0, (10, 4)) * 1e200
-        for metric in ("cosine", "euclidean"):
-            assert np.isfinite(distance_matrix(values, values, metric)).all()
-        d = distance_matrix(values[:1], values[1:2], "euclidean")[0, 0]
-        assert d == pytest.approx(float(np.linalg.norm(values[0] / 1e200 - values[1] / 1e200)) * 1e200)
+        for _ in distance_paths():
+            for metric in ("cosine", "euclidean"):
+                assert np.isfinite(distance_matrix(values, values, metric)).all()
+            d = distance_matrix(values[:1], values[1:2], "euclidean")[0, 0]
+            want = float(np.linalg.norm(values[0] / 1e200 - values[1] / 1e200)) * 1e200
+            assert d == pytest.approx(want)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170])
-    def test_self_matrix_one_pass_matches_full_pass(self, monkeypatch, metric, scale):
+    def test_self_matrix_one_pass_matches_full_pass(
+        self, monkeypatch, distance_paths, metric, scale
+    ):
         # A self call computes each unordered pair once and mirrors it,
         # which keeps the bytes only because cdist gives (i, j) and (j, i)
         # the same bits; checked with one-row blocks, two-row blocks (a
@@ -435,15 +537,18 @@ class TestExtremeMagnitudes:
         rng = np.random.default_rng(37)
         for n, d in itertools.product((2, 3, 17), (1, 3, 128)):
             x = rng.standard_normal((n, d)) * scale
-            full = distance_matrix(x, x.copy(), metric)
-            assert full.tobytes() == full.T.copy().tobytes()
-            for rows in (1, 2, n):
-                monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
-                assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
+            for _ in distance_paths():
+                full = distance_matrix(x, x.copy(), metric)
+                assert full.tobytes() == full.T.copy().tobytes()
+                for rows in (1, 2, n):
+                    monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
+                    assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_any_worker_count_gives_one_full_cdist_pass(self, monkeypatch, metric, workers):
+    def test_any_worker_count_gives_one_full_cdist_pass(
+        self, monkeypatch, distance_paths, metric, workers
+    ):
         # the self pass runs its row blocks on a pool of _workers() threads;
         # 4-row blocks of 23 rows end in a partial block, and a row near
         # 1e200 makes _in_range rescale (that row under cosine, all rows
@@ -455,26 +560,60 @@ class TestExtremeMagnitudes:
         x = np.random.default_rng(38).standard_normal((23, 16))
         big = x.copy()
         big[5] *= 1e200
+        rest = np.delete(np.arange(23), 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for values in (x, big):
-                xs, _, unscale = neighbors._in_range(values, values, metric)
+            for _, values in itertools.product(distance_paths(), (x, big)):
+                xs, _, unscale, _ = neighbors._in_range(values, values, metric)
                 assert (xs is values) == (values is x)
-                want = cdist(xs, xs, metric=metric)
-                if metric == "cosine":
-                    np.clip(want, 0.0, None, out=want)
-                want *= unscale
+                want = _cdist(xs, xs, metric) * unscale
+                if metric == "euclidean" and values is big:
+                    # under the 1e200 row's factor the other rows fall below
+                    # the normal range; their pairs are computed unscaled
+                    want[np.ix_(rest, rest)] = cdist(values[rest], values[rest])
                 before = threading.active_count()
                 assert distance_matrix(values, values, metric).tobytes() == want.tobytes()
                 assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
 
-    def test_tiny_row_among_unit_rows_under_cosine(self):
+    def test_tiny_row_among_unit_rows_under_cosine(self, distance_paths):
         values = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [-1.0, 3.0]])
         mixed = values.copy()
         mixed[0] = np.ldexp(values[0], -1060)  # subnormal, yet not zero
         check_cosine_rows(_matrix(mixed))
-        D = distance_matrix(mixed, mixed, "cosine")
-        assert D.tobytes() == distance_matrix(values, values, "cosine").tobytes()
+        for _ in distance_paths():
+            D = distance_matrix(mixed, mixed, "cosine")
+            assert D.tobytes() == distance_matrix(values, values, "cosine").tobytes()
+
+    def test_rows_below_the_common_factor_keep_their_distances(self, distance_paths):
+        # Under the factor of a row near 1e200 every other row here falls
+        # below the normal range, and the rows near 2^-530 do so again
+        # under the factor of [3, 4]: each pair is computed under the
+        # factor of its larger row, so none of them underflows to 0.
+        assert distance_matrix(
+            [[1e200, 0], [3e-160, 0], [1e-160, 0]], [[1e200, 0], [3e-160, 0], [1e-160, 0]],
+            "euclidean",
+        )[1, 2] == pytest.approx(2e-160, rel=1e-15)
+        tiny = math.ldexp(1.0, -530)
+        values = np.array(
+            [[1e200, 0.0], [3 * tiny, 0.0], [tiny, 0.0], [0.0, 0.0], [3.0, 4.0], [0.0, tiny]]
+        )
+        rest = np.arange(1, 6)
+        for _ in distance_paths():
+            D = distance_matrix(values, values, "euclidean")
+            assert D[1, 2] == 2 * tiny and D[3, 4] == 5.0 and D[2, 5] == math.sqrt(2.0) * tiny
+            assert D[0].tolist() == [0.0, 1e200, 1e200, 1e200, 1e200, 1e200]
+            assert D[np.ix_(rest, rest)].tobytes() == distance_matrix(
+                values[rest], values[rest], "euclidean"
+            ).tobytes()
+            assert D[2:4, 1:].tobytes() == distance_matrix(
+                values[2:4], values[1:], "euclidean"
+            ).tobytes()
+            for k in range(1, 6):
+                assert_exact_graph(values, k, "euclidean")
+            groups = np.array([[1, 2, 3], [0, 1, 2], [4, 5, 1]])
+            means = neighbors.group_mean_distances(values, groups, "euclidean")
+            for group, mean in zip(groups, means):
+                assert mean == D[np.ix_(group, group)][np.triu_indices(3, k=1)].mean()
