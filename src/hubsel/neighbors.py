@@ -10,10 +10,10 @@ fragment index, so results are reproducible bit for bit across runs
 and block splits.
 
 Rows whose magnitudes would overflow, or underflow below the normal
-range, when squared are rescaled by a power of two first; inputs in the
-normal range are used as they are. Distances come from the compiled
-kernels that scipy's ``cdist`` calls, loaded without the rest of
-``scipy.spatial``.
+range, when squared are brought into range by powers of two; one
+function, the ``pairs`` of ``_in_range``, gives every distance in true
+units, and graphs are ranked in them. Distances come from the compiled
+kernels that scipy's ``cdist`` calls, without the rest of ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -119,43 +119,50 @@ def _exponents(peak: np.ndarray, d: int) -> np.ndarray:
 
 
 def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
-    """``(x, y, unscale, lower)``: the rows scaled by powers of two so that
-    the square of the largest magnitude is normal (every row's, for
-    cosine) and every sum of squares stays finite, the factor that maps
-    Euclidean distances between the scaled rows back, and ``lower``: None,
-    or for Euclidean rows that fall below the normal range under that
-    common factor the ``(ex, ey, levels)`` that :func:`_lower_pairs` takes.
-    Rows already in range come back unchanged, so their distances keep
-    every bit."""
+    """``(xs, ys, pairs)``: the rows scaled by powers of two so that the
+    square of the largest magnitude is normal (every row's, for cosine)
+    and every sum of squares stays finite, and ``pairs(rx, ry)``, the
+    distances between rows ``rx`` of ``x`` and ``ry`` of ``y`` in true
+    units. Under euclidean the pair (i, j) is computed on both rows
+    scaled by 2^-max(e_i, e_j) (:func:`_exponents`), and a distance too
+    large for a float64 raises ``ValueError``. For rows already in range
+    ``pairs`` is one kernel call on them, so their distances keep every bit."""
     same = y is x
+    top, lower = 0, []
     if metric == "cosine":
         xs = _rescale_rows(x)
-        return xs, (xs if same else _rescale_rows(y)), 1.0, None
-    peak = np.abs(x).max(axis=1, initial=0.0)
-    if not same:
-        peak = np.concatenate([peak, np.abs(y).max(axis=1, initial=0.0)])
-    e = _exponents(peak, x.shape[1])
-    levels = np.unique(e)[::-1]
-    lower = (e[: len(x)], e if same else e[len(x) :], levels[1:]) if levels.size > 1 else None
-    top = int(levels[0]) if levels.size else 0
-    if top:
-        x = np.ldexp(x, -top)
-        y = x if same else np.ldexp(y, -top)
-    return x, y, math.ldexp(1.0, top), lower
+        ys = xs if same else _rescale_rows(y)
+    else:
+        peak = np.abs(x).max(axis=1, initial=0.0)
+        if not same:
+            peak = np.concatenate([peak, np.abs(y).max(axis=1, initial=0.0)])
+        e = _exponents(peak, x.shape[1])
+        ex, ey = e[: len(x)], e if same else e[len(x) :]
+        top, *lower = np.unique(e)[::-1].tolist() or [0]
+        xs = np.ldexp(x, -top) if top else x
+        ys = xs if same else (np.ldexp(y, -top) if top else y)
+    if not (top or lower):
+        return xs, ys, lambda rx, ry: _distances(xs[rx], ys[ry], metric)
+
+    def pairs(rx, ry) -> np.ndarray:
+        D = _scaled_back(_distances(xs[rx], ys[ry], metric), top)
+        for level in lower:  # descending: each overwrites the pairs of its rows
+            a, b = np.flatnonzero(ex[rx] <= level), np.flatnonzero(ey[ry] <= level)
+            if a.size and b.size:
+                sub = _distances(np.ldexp(x[rx][a], -level), np.ldexp(y[ry][b], -level), metric)
+                D[np.ix_(a, b)] = _scaled_back(sub, level)
+        return D
+
+    return xs, ys, pairs
 
 
-def _lower_pairs(D, x, y, ex, ey, levels, metric: str) -> None:
-    """Recompute in ``D``, in true units, the Euclidean distances between
-    the rows of ``x`` and ``y`` that fell below the normal range under the
-    common factor: with ``ex``, ``ey`` and the lower ``levels`` (descending)
-    from :func:`_in_range`, the pair (i, j) on both rows scaled by
-    2^-max(e_i, e_j), each level overwriting the one above it."""
-    for e in levels.tolist():
-        rx, ry = np.flatnonzero(ex <= e), np.flatnonzero(ey <= e)
-        if rx.size and ry.size:
-            D[np.ix_(rx, ry)] = _distances(
-                np.ldexp(x[rx], -e), np.ldexp(y[ry], -e), metric
-            ) * math.ldexp(1.0, e)
+def _scaled_back(D: np.ndarray, level: int) -> np.ndarray:
+    """``D`` times 2^level, in place, checked to fit when 2^level > 1."""
+    with np.errstate(over="ignore"):
+        np.ldexp(D, level, out=D)
+    if level > 0 and not np.isfinite(D).all():
+        raise ValueError("a euclidean distance exceeds the float64 maximum (about 1.8e308)")
+    return D
 
 
 def _workers() -> int:
@@ -254,12 +261,11 @@ def _distances(x, y, metric: str) -> np.ndarray:
 def distance_matrix(x, y, metric: str) -> np.ndarray:
     """All distances between the rows of ``x`` and ``y``.
 
-    Cosine distances that rounding pushed below 0 are clipped to 0. Rows
-    whose squares would overflow or fall below the normal range are first
-    rescaled by a power of two (each row on its own for cosine, all rows
-    by one factor for euclidean), so finite inputs give finite distances.
-    Under euclidean, the pairs of rows that fall below the normal range
-    under that one factor are computed again under a factor of their own.
+    Cosine distances that rounding pushed below 0 are clipped to 0. Each
+    distance is the one ``pairs`` of :func:`_in_range` gives, which brings
+    rows into range by powers of two, so finite inputs give finite
+    distances or, for a euclidean one above the float64 maximum,
+    ``ValueError``.
 
     Called with the same object as ``x`` and ``y``, it computes each
     unordered pair once: the upper triangle in row blocks, each mirrored
@@ -272,30 +278,25 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     same = y is x
     x = np.asarray(x, dtype=np.float64)
     y = x if same else np.asarray(y, dtype=np.float64)
-    xs, ys, unscale, lower = _in_range(x, y, metric)
-    if same:
-        n = x.shape[0]
-        D = np.empty((n, n), dtype=np.float64)
-        block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
+    _, _, pairs = _in_range(x, y, metric)
+    if not same:
+        return pairs(slice(None), slice(None))
+    n = x.shape[0]
+    D = np.empty((n, n), dtype=np.float64)
+    block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
 
-        # Block s writes rows s:e at columns >= s and columns s:e at rows
-        # >= s; a later block s' >= e touches neither, and only block s
-        # writes the square D[s:e, s:e]. The regions are disjoint, so the
-        # workers need no lock.
-        def fill(s: int) -> None:
-            e = min(s + block, n)
-            B = _distances(xs[s:e], xs[s:], metric)
-            D[s:e, s:] = B
-            D[s:, s:e] = B.T
+    # Block s writes rows s:e at columns >= s and columns s:e at rows
+    # >= s; a later block s' >= e touches neither, and only block s
+    # writes the square D[s:e, s:e]. The regions are disjoint, so the
+    # workers need no lock.
+    def fill(s: int) -> None:
+        e = min(s + block, n)
+        B = pairs(slice(s, e), slice(s, None))
+        D[s:e, s:] = B
+        D[s:, s:e] = B.T
 
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            list(pool.map(fill, range(0, n, block)))  # re-raises a block's error
-    else:
-        D = _distances(xs, ys, metric)
-    if unscale != 1.0:
-        D *= unscale
-    if lower is not None:
-        _lower_pairs(D, x, y, *lower, metric)
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        list(pool.map(fill, range(0, n, block)))  # re-raises a block's error
     return D
 
 
@@ -307,20 +308,15 @@ def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:
     and every pair counts once. Rows are brought into range once for the
     whole of ``x`` rather than once per group.
     """
-    xs, _, unscale, lower = _in_range(x, x, metric)
-    if lower is not None:
-        e, _, levels = lower
-        below = e <= levels[0]
+    _, _, pairs = _in_range(x, x, metric)
     iu = np.triu_indices(groups.shape[1], k=1)
     means = np.empty(len(groups), dtype=np.float64)
-    for i, rows in enumerate(groups):
-        D = _distances(xs[rows], xs[rows], metric)
-        if lower is None or below[rows].sum() < 2:
-            means[i] = float(D[iu].mean()) * unscale
-        else:
-            D *= unscale
-            _lower_pairs(D, x[rows], x[rows], e[rows], e[rows], levels, metric)
-            means[i] = float(D[iu].mean())
+    with np.errstate(over="ignore"):  # a sum near the float64 maximum, redone below
+        for i, rows in enumerate(groups):
+            means[i] = pairs(rows, rows)[iu].mean()
+    for i in np.flatnonzero(means == np.inf).tolist():
+        D = pairs(groups[i], groups[i])[iu]
+        means[i] = (D / D.size).sum()
     return means
 
 
@@ -372,11 +368,11 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     2 b_i, where b_i bounds the error of the approximation against the
     exact distance (squared, for euclidean) in row i, with u the unit
     roundoff and gamma_m = m u / (1 - m u):
-    b_i = gamma_{8d+32} (|x_i| + max_j |x_j|)^2 for euclidean and
-    gamma_{8d+32} for cosine. The shortlist therefore holds every exact
-    neighbor and every tie at the k-th distance; its distances are then
-    recomputed as :func:`distance_matrix` computes them and sorted by
-    (distance, index).
+    b_i = gamma_{8d+32} c^2 + 2 g c, c = |x_i| + max_j |x_j|, for euclidean
+    (g below) and gamma_{8d+32} for cosine. The shortlist therefore holds
+    every exact neighbor and every tie at the k-th distance; its distances
+    are then recomputed in true units as :func:`distance_matrix` computes
+    them and sorted by (distance, index).
 
     Parameters
     ----------
@@ -398,16 +394,13 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         raise ValueError(f"need at least 2 fragments, got {n}")
     if metric == "cosine":
         check_cosine_rows(m)
-    X, _, unscale, lower = _in_range(m.values, m.values, metric)
-    below = None
-    if lower is not None:
-        ex, _, levels = lower
-        below = ex <= levels[0]  # rows under a factor of their own
+    X, _, pairs = _in_range(m.values, m.values, metric)
 
-    # Why the shortlist is exact. Let A_ij be the value the exact pass
-    # ranks row i by (the distance_matrix distance; its square for
-    # euclidean, an order-preserving map that keeps ties) and P_ij the
-    # product-based approximation, with |P_ij - A_ij| <= b_i for all j.
+    # Why the shortlist is exact. Let A_ij be the value row i is ranked
+    # by: the distance pairs reports, in true units, taken in the units of
+    # X (euclidean: X is the rows times 2^-top) and squared for euclidean,
+    # an order-preserving map that keeps ties; and P_ij the product-based
+    # approximation, with |P_ij - A_ij| <= b_i for all j.
     # The k smallest P in row i, p_(k) being the largest of them, have
     # A <= p_(k) + b_i, so the exact k-th value A_(k) <= p_(k) + b_i; a
     # j with A_ij <= A_(k) then has P_ij <= A_ij + b_i <= p_(k) + 2 b_i.
@@ -420,12 +413,12 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     # squared value); underflow, below 6d u tiny in all (tiny the smallest
     # normal float), which the rest of the budget covers since after
     # _in_range (|x_i| + max_j |x_j|)^2 >= tiny (cosine: unit rows); and
-    # the few roundings of b_i and of the threshold themselves. A row that
-    # falls below the normal range under the common factor (_exponents)
-    # is ranked in true units, its pairs with other such rows computed
-    # under their own factor as distance_matrix computes them (_lower_pairs):
-    # each A_ij is still the exact value within the cdist pass's error, so
-    # the argument holds for its finite distances too.
+    # the few roundings of b_i and of the threshold themselves. A pair
+    # computed under a factor of its own only comes nearer the exact value.
+    # In true units a euclidean distance is rounded to a multiple of
+    # 2^-1074, g = 2^(-1074-top) in the units of X, which moves A_ij by at
+    # most g c + g^2 / 4 <= 2 g c, c = |x_i| + max_j |x_j| (g <= 1/2 <= c
+    # for top < 0, g <= 2^-1074 else); b_i holds that term too.
     mu = (8 * d + 32) * _UNIT_ROUNDOFF
     b = mu / (1.0 - mu)
     if metric == "cosine":
@@ -434,8 +427,10 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     else:
         Y = X
         sq = np.einsum("ij,ij->i", X, X)
-        norms = np.sqrt(sq)
-        margin = 2.0 * b * (norms + norms.max()) ** 2
+        c = np.sqrt(sq) + math.sqrt(sq.max())
+        r = int(np.argmax(sq))  # top, read off the row of largest norm
+        top = math.frexp(np.abs(m.values[r]).max())[1] - math.frexp(np.abs(X[r]).max())[1]
+        margin = 2.0 * b * c**2 + 4.0 * math.ldexp(1.0, -1074 - top) * c
 
     k_eff = min(k, n - 1)
     indices = np.empty((n, k_eff), dtype=np.int64)
@@ -455,18 +450,12 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         for i, row in zip(range(s, e), approx):
             kth = np.partition(row, k_eff - 1)[k_eff - 1]
             cand = np.flatnonzero(row <= kth + margin[i])
-            dist = _distances(X[i : i + 1], X[cand], metric)[0]
-            if below is not None and below[i]:
-                dist *= unscale
-                _lower_pairs(dist[None], m.values[i : i + 1], m.values[cand],
-                             ex[i : i + 1], ex[cand], levels, metric)
+            dist = pairs(slice(i, i + 1), cand)[0]
             order = np.argsort(dist, kind="stable")[:k_eff]
             indices[i] = cand[order]
             distances[i] = dist[order]
         # freed before the next product, so one block is live at a time
         del approx, row
-    if unscale != 1.0:
-        distances[slice(None) if below is None else ~below] *= unscale
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

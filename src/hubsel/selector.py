@@ -259,6 +259,7 @@ def _initial_vector(p: SelectionProblem, cfg: SolverConfig) -> np.ndarray:
     return y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that does not fit raises below
 def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     """Maximize the selection objective by pairwise mass transfers.
 
@@ -283,6 +284,8 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     (ndarray, SolverTrace)
         The relaxed indicator y, a fresh float64 array. The KKT residual
         in the trace is recomputed from scratch at the final iterate.
+        Rewards or an objective not finite, at the start or at the end (a
+        value that overflows on the way stays so), raise ``ValueError``.
     """
     cfg = cfg or SolverConfig()
     if cfg.step_rule not in ("derived", "paper"):
@@ -295,6 +298,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     denom = _pair_divisor(k)
     r = rewards(p, y)  # a fresh array, updated in place
     f = objective(p, y)
+    _check_finite(r, f)
 
     objs = [f]
     updates: list[tuple] = []
@@ -340,6 +344,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         # only y_i and y_j moved, so the running extremes need only them
         y_lo = min(y_lo, float(y[i]), float(y[j]))
         y_hi = max(y_hi, float(y[i]), float(y[j]))
+    _check_finite(r, f)
 
     trace = SolverTrace(
         objective_per_iteration=objs,
@@ -352,6 +357,11 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         y_max=y_hi,
     )
     return y, trace
+
+
+def _check_finite(r: np.ndarray, f: float) -> None:
+    if not (np.isfinite(f) and np.isfinite(r).all()):
+        raise ValueError("solver rewards or objective not finite: distances too large")
 
 
 def kkt_residual(p: SelectionProblem, y: np.ndarray) -> float:

@@ -400,6 +400,27 @@ class TestAnalyze:
         assert np.isfinite(g.distances).all() and (g.distances > 0).all()
 
 
+    def test_value_near_the_float64_maximum_gives_a_finite_profile(self, tmp_path, capsys):
+        feat = tmp_path / "big.csv"
+        feat.write_text("a,1e308,0\nb,1,0\nc,2,1\nd,0,3\n")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(feat), "--out", str(out), "--metric", "euclidean"]) == 0
+        assert capsys.readouterr().err == ""
+        profile = stats.load_profile_csv(out / "profile.csv")
+        assert np.isfinite(profile.lid.lids).all()
+        assert np.isfinite(profile.diversity.values).all()
+        assert profile.diversity.values[1] == pytest.approx(1e308 / 3 * 2, rel=1e-15)
+
+    def test_distance_beyond_the_float64_maximum_exits_1(self, tmp_path, capsys):
+        feat = tmp_path / "over.csv"
+        feat.write_text("a,1.5e308,0\nb,-1.5e308,0\nc,2,1\nd,0,3\n")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(feat), "--out", str(out), "--metric", "euclidean"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a euclidean distance exceeds the float64 maximum (about 1.8e308)\n"
+        )
+
+
 def test_readme_names_every_archive_member(workspace, tmp_path):
     """The README's file-format rows are the only documentation of the
     archives that ``knn --out g.npz`` and ``analyze`` write."""
@@ -649,6 +670,20 @@ class TestSelect:
             written.append((Path("solution.json").read_bytes(), Path("run.csv").read_bytes(),
                             capsys.readouterr()))
         assert written[0] == written[1]
+
+
+    def test_affinity_too_large_for_the_solver_exits_1(self, tmp_path, capsys):
+        # the distance 1e308 fits, but the first rewards, 2 A y / 2, do not
+        feat = tmp_path / "half.csv"
+        feat.write_text("a,5e307,0\nb,-5e307,0\nc,2,1\nd,0,3\ne,1,1\n")
+        out, trace = tmp_path / "solution.json", tmp_path / "trace.csv"
+        argv = ["select", str(feat), "--k", "2", "--metric", "euclidean", "--k-hub", "1",
+                "--out", str(out), "--trace", str(trace)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: solver rewards or objective not finite: distances too large\n"
+        )
+        assert not out.exists() and not trace.exists()
 
 
 class TestSolveReadsHubnessAndLidOnly:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -498,6 +498,9 @@ for m in neighbors.METRICS:
         )
 
 
+_EXPONENT_KINDS = (st.integers(-1074, -1066), st.integers(-4, 4), st.integers(1000, 1010))
+
+
 class TestExtremeMagnitudes:
     """Finite rows whose squares overflow or leave the normal range."""
 
@@ -551,10 +554,10 @@ class TestExtremeMagnitudes:
     ):
         # the self pass runs its row blocks on a pool of _workers() threads;
         # 4-row blocks of 23 rows end in a partial block, and a row near
-        # 1e200 makes _in_range rescale (that row under cosine, all rows
-        # under euclidean) before the pass. The result starts as np.empty,
-        # so a lost block write shows as other bytes; a short switch
-        # interval makes the threads interleave often.
+        # 1e200 is brought into range by a power of two (that row under
+        # cosine, all rows under euclidean) before the pass. The result
+        # starts as np.empty, so a lost block write shows as other bytes;
+        # a short switch interval makes the threads interleave often.
         monkeypatch.setattr(neighbors, "_workers", lambda: workers)
         monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", 4 * 23)
         x = np.random.default_rng(38).standard_normal((23, 16))
@@ -565,9 +568,15 @@ class TestExtremeMagnitudes:
         sys.setswitchinterval(1e-6)
         try:
             for _, values in itertools.product(distance_paths(), (x, big)):
-                xs, _, unscale, _ = neighbors._in_range(values, values, metric)
-                assert (xs is values) == (values is x)
-                want = _cdist(xs, xs, metric) * unscale
+                # 2^-top brings the largest magnitude into [0.5, 1)
+                top = math.frexp(np.abs(values).max())[1] if values is big else 0
+                if metric == "cosine":
+                    xs = values.copy()
+                    xs[5] = np.ldexp(values[5], -top)
+                    want = _cdist(xs, xs, metric)
+                else:
+                    xs = np.ldexp(values, -top)
+                    want = _cdist(xs, xs, metric) * 2.0**top
                 if metric == "euclidean" and values is big:
                     # under the 1e200 row's factor the other rows fall below
                     # the normal range; their pairs are computed unscaled
@@ -577,6 +586,76 @@ class TestExtremeMagnitudes:
                 assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
+
+    def test_subnormal_distances_keep_the_exact_graph(self, distance_paths):
+        # true distances here are subnormal: ranked in scaled units, or
+        # with a margin blind to their rounding, the graph missed or
+        # misordered neighbors of the sorted distance_matrix rows
+        for _ in distance_paths():
+            for seed in range(40):
+                values = np.random.default_rng(seed).integers(-8, 9, (30, 3)).astype(float)
+                values = np.ldexp(values, -1072 + seed % 6)
+                values[~values.any(axis=1)] = math.ldexp(1.0, -1070)
+                assert_exact_graph(values, 8, "euclidean")
+
+    def test_distance_beyond_the_float64_maximum_raises(self, distance_paths):
+        over = np.array([[1.5e308, 0.0], [-1.5e308, 0.0], [2.0, 1.0]])
+        fits = np.array([[1e308, 0.0], [1.0, 0.0], [2.0, 1.0], [0.0, 3.0]])
+        for _ in distance_paths():
+            for call in (
+                lambda: distance_matrix(over, over, "euclidean"),
+                lambda: distance_matrix(over[:1], over[1:], "euclidean"),
+                lambda: pairwise_distance(over[0], over[1], "euclidean"),
+                lambda: knn_graph(_matrix(over), 2, "euclidean"),
+                lambda: neighbors.group_mean_distances(over, np.array([[0, 1]]), "euclidean"),
+            ):
+                with pytest.raises(ValueError, match="exceeds the float64 maximum"):
+                    call()
+            D = distance_matrix(fits, fits, "euclidean")
+            assert np.isfinite(D).all() and D[0, 1] == 1e308 and D[2, 3] == math.sqrt(8.0)
+            assert_exact_graph(fits, 3, "euclidean")
+            # means of distances whose sum overflows, even halved
+            square = np.array([[8e307, 0.0], [0.0, 8e307], [-8e307, 0.0], [0.0, -8e307]])
+            means = neighbors.group_mean_distances(
+                np.vstack([fits, square]), np.array([[0, 2, 3, 4], [4, 5, 6, 7]]), "euclidean"
+            )
+            assert means[0] == pytest.approx(1e308 / 3 + 9e307 / 3, rel=1e-14)
+            assert means[1] == pytest.approx(8e307 / 6 * (4 * math.sqrt(2.0) + 4), rel=1e-14)
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+                    min_size=n, max_size=n,
+                ),
+                # row exponents of one kind (subnormal, in-range or
+                # near-overflow magnitudes), or of all three mixed
+                st.one_of(
+                    st.lists(e, min_size=n, max_size=n)
+                    for e in (*_EXPONENT_KINDS, st.one_of(_EXPONENT_KINDS))
+                ),
+                st.integers(1, n),
+            )
+        )
+    )
+    def test_any_power_of_two_rows_keep_exact_graph_and_means(self, distance_paths, case):
+        rows, exponents, k = case
+        values = np.array(rows, dtype=float)
+        values[~values.any(axis=1)] = 1.0
+        values = np.ldexp(values, np.array(exponents)[:, None])
+        n, width = len(values), min(3, len(values))
+        groups = (np.arange(n)[:, None] + np.arange(width)) % n
+        iu = np.triu_indices(width, k=1)
+        for _, metric in itertools.product(distance_paths(), neighbors.METRICS):
+            assert_exact_graph(values, k, metric)
+            D = distance_matrix(values, values, metric)
+            means = neighbors.group_mean_distances(values, groups, metric)
+            assert means.tolist() == [D[np.ix_(g, g)][iu].mean() for g in groups]
 
     def test_tiny_row_among_unit_rows_under_cosine(self, distance_paths):
         values = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [-1.0, 3.0]])

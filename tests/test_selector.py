@@ -360,6 +360,19 @@ class TestSolve:
         assert np.allclose(r2 - r1, 0.25 / p.k, atol=1e-12, rtol=0)
         assert round_selection(y1, p) == round_selection(y2, shifted)
 
+    @pytest.mark.parametrize("a20", [1e308, 2.0**1023], ids=["start", "end"])
+    def test_rewards_or_objective_out_of_range_raise(self, a20):
+        # hub-first starts at {0, 1}. With A_20 = A_21 = 1e308 the first
+        # rewards overflow; with A_20 alone at 2^1023 they fit, and the
+        # first step's sigma = -2 A_20 overflows to a NaN objective
+        a = np.zeros((3, 3))
+        a[2, 0] = a[0, 2] = a20
+        if a20 == 1e308:
+            a[2, 1] = a[1, 2] = a20
+        p = SelectionProblem(h=np.array([1.0, 1.0, 0.0]), d_risk=np.zeros(3), a=a, k=2)
+        with pytest.raises(ValueError, match="rewards or objective not finite"):
+            solve(p, SolverConfig(init="hub_first"))
+
 
 class TestKkt:
     def test_zero_at_full_budget(self):
