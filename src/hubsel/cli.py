@@ -8,7 +8,8 @@ file's SHA-256. Its reruns, and select and solver-mode rank given that
 Exit codes follow one convention across subcommands: 0 on success
 (including a solver run that stops without converging), 1 on domain
 errors (mismatched ids, invalid budgets, unknown modes, missing ground
-truth) and when memory runs out, 2 on I/O failures. All outputs are
+truth) and when memory runs out, 2 on I/O failures; a library warning
+is one ``warning:`` line on stderr. All outputs are
 deterministic for a fixed configuration and seed. ``--threads`` is
 accepted for compatibility and has no effect: the kNN scan runs in one
 thread, and the dense affinity of select and rank runs on one thread per
@@ -23,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,8 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a library warning reaches stderr as one line, like every error
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         _checked_graph_k(args)
         return args.func(args)
@@ -342,6 +350,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ UTF-8, no header row) and the compact ``fbin`` binary layout (magic
 major order, then length-prefixed UTF-8 ids). Values are float64 in
 memory regardless of the storage format. Ids are written unquoted to
 every CSV table, so no id may contain ``,``, ``\\r`` or ``\\n``; nor NUL,
-which the ``.npz`` graph cache drops.
+which the ``.npz`` graph cache drops. Rows are scaled to unit norm by
+:func:`hubsel.neighbors.unit_rows`, so every norm and distance of a
+feature value goes through one power-of-two range rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hubsel import table
+from hubsel import neighbors, table
 
 FBIN_MAGIC = b"HLF1"
 
@@ -183,7 +185,10 @@ def _load_fbin(path) -> tuple[list[str], np.ndarray, range]:
 
 
 def save_features(m: FeatureMatrix, path) -> None:
-    """Write ``m`` to ``path`` in CSV or fbin format (inferred from suffix)."""
+    """Write ``m`` to ``path`` in CSV or fbin format (inferred from suffix).
+
+    fbin stores float32: a value beyond its range raises ``ValueError``
+    naming the row before the file is opened."""
     if feature_format(path) == "csv":
         rows = ([ident, *map(repr, row)] for ident, row in zip(m.ids, m.values.tolist()))
         table.write_rows(path, rows)
@@ -191,10 +196,15 @@ def save_features(m: FeatureMatrix, path) -> None:
         for ident in m.ids:
             if len(ident.encode("utf-8")) > 0xFFFF:
                 raise ValueError(f"id too long for fbin: '{ident[:32]}...'")
+        with np.errstate(over="ignore"):
+            values = np.ascontiguousarray(m.values, dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0] + 1}: value out of float32 range")
         with open(path, "wb") as fh:
             fh.write(FBIN_MAGIC)
             fh.write(struct.pack("<II", m.n, m.d))
-            fh.write(np.ascontiguousarray(m.values, dtype="<f4").tobytes())
+            fh.write(values.tobytes())
             for ident in m.ids:
                 raw = ident.encode("utf-8")
                 fh.write(struct.pack("<H", len(raw)))
@@ -202,20 +212,18 @@ def save_features(m: FeatureMatrix, path) -> None:
 
 
 def l2_normalize(m: FeatureMatrix) -> FeatureMatrix:
-    """Scale every row to unit Euclidean norm.
+    """Scale every row to unit Euclidean norm (:func:`hubsel.neighbors.unit_rows`).
 
     All-zero rows cannot be normalized; they are passed through unchanged
     and reported in a single warning listing their row indices.
     """
-    norms = np.linalg.norm(m.values, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(~m.values.any(axis=1))
     if zero.size:
         warnings.warn(
             f"{zero.size} all-zero row(s) left unnormalized "
             f"(row indices {zero.tolist()})"
         )
-    scale = np.where(norms == 0.0, 1.0, norms)
-    return FeatureMatrix(ids=list(m.ids), values=m.values / scale[:, None])
+    return FeatureMatrix(ids=list(m.ids), values=neighbors.unit_rows(m.values))
 
 
 def fuse(matrices: list[FeatureMatrix]) -> FeatureMatrix:

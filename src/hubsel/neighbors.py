@@ -9,11 +9,11 @@ itself, are sorted by ascending distance, and break ties by the smaller
 fragment index, so results are reproducible bit for bit across runs
 and block splits.
 
-Rows whose magnitudes would overflow, or underflow below the normal
-range, when squared are brought into range by powers of two; one
-function, the ``pairs`` of ``_in_range``, gives every distance in true
-units, and graphs are ranked in them. Distances come from the compiled
-kernels that scipy's ``cdist`` calls, without the rest of ``scipy.spatial``.
+Every norm and distance goes through one power-of-two range rule: rows
+whose squares would overflow or underflow are scaled into range by
+powers of two. :func:`unit_rows` gives every unit row, and ``pairs`` of
+``_in_range`` every distance, in true units; graphs are ranked in them.
+Distances come from the compiled kernels of scipy's ``cdist`` alone.
 """
 
 from __future__ import annotations
@@ -99,6 +99,14 @@ def _rescale_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` with each row over its norm, taken after :func:`_rescale_rows`
+    so no square overflows or underflows; an all-zero row stays as it is."""
+    v = _rescale_rows(v)
+    norms = np.linalg.norm(v, axis=1)
+    return v / np.where(norms == 0.0, 1.0, norms)[:, None]
+
+
 def _exponents(peak: np.ndarray, d: int) -> np.ndarray:
     """Euclidean: for rows with largest magnitudes ``peak``, the exponent e_i
     of each row's factor 2^e_i. The pair (i, j) is computed on both rows
@@ -119,14 +127,14 @@ def _exponents(peak: np.ndarray, d: int) -> np.ndarray:
 
 
 def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
-    """``(xs, ys, pairs)``: the rows scaled by powers of two so that the
-    square of the largest magnitude is normal (every row's, for cosine)
-    and every sum of squares stays finite, and ``pairs(rx, ry)``, the
-    distances between rows ``rx`` of ``x`` and ``ry`` of ``y`` in true
-    units. Under euclidean the pair (i, j) is computed on both rows
-    scaled by 2^-max(e_i, e_j) (:func:`_exponents`), and a distance too
-    large for a float64 raises ``ValueError``. For rows already in range
-    ``pairs`` is one kernel call on them, so their distances keep every bit."""
+    """``(xs, top, pairs)``: the rows of ``x`` scaled by powers of two so
+    that the square of the largest magnitude is normal and every sum of
+    squares stays finite (each row by its own factor for cosine, where top
+    is 0; all by 2^-top for euclidean); and ``pairs(rx, ry)``, the
+    distances between rows ``rx`` of ``x`` and ``ry`` of ``y`` in true units,
+    the pair (i, j) under euclidean on both rows scaled by 2^-max(e_i, e_j)
+    (:func:`_exponents`). A euclidean distance above the float64 maximum
+    raises ``ValueError``; rows in range get one kernel call, every bit kept."""
     same = y is x
     top, lower = 0, []
     if metric == "cosine":
@@ -141,8 +149,6 @@ def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
         top, *lower = np.unique(e)[::-1].tolist() or [0]
         xs = np.ldexp(x, -top) if top else x
         ys = xs if same else (np.ldexp(y, -top) if top else y)
-    if not (top or lower):
-        return xs, ys, lambda rx, ry: _distances(xs[rx], ys[ry], metric)
 
     def pairs(rx, ry) -> np.ndarray:
         D = _scaled_back(_distances(xs[rx], ys[ry], metric), top)
@@ -153,15 +159,16 @@ def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
                 D[np.ix_(a, b)] = _scaled_back(sub, level)
         return D
 
-    return xs, ys, pairs
+    return xs, top, pairs
 
 
 def _scaled_back(D: np.ndarray, level: int) -> np.ndarray:
     """``D`` times 2^level, in place, checked to fit when 2^level > 1."""
-    with np.errstate(over="ignore"):
-        np.ldexp(D, level, out=D)
-    if level > 0 and not np.isfinite(D).all():
-        raise ValueError("a euclidean distance exceeds the float64 maximum (about 1.8e308)")
+    if level:
+        with np.errstate(over="ignore"):
+            np.ldexp(D, level, out=D)
+        if level > 0 and not np.isfinite(D).all():
+            raise ValueError("a euclidean distance exceeds the float64 maximum (about 1.8e308)")
     return D
 
 
@@ -278,7 +285,7 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     same = y is x
     x = np.asarray(x, dtype=np.float64)
     y = x if same else np.asarray(y, dtype=np.float64)
-    _, _, pairs = _in_range(x, y, metric)
+    *_, pairs = _in_range(x, y, metric)
     if not same:
         return pairs(slice(None), slice(None))
     n = x.shape[0]
@@ -308,7 +315,7 @@ def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:
     and every pair counts once. Rows are brought into range once for the
     whole of ``x`` rather than once per group.
     """
-    _, _, pairs = _in_range(x, x, metric)
+    *_, pairs = _in_range(x, x, metric)
     iu = np.triu_indices(groups.shape[1], k=1)
     means = np.empty(len(groups), dtype=np.float64)
     with np.errstate(over="ignore"):  # a sum near the float64 maximum, redone below
@@ -394,7 +401,7 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         raise ValueError(f"need at least 2 fragments, got {n}")
     if metric == "cosine":
         check_cosine_rows(m)
-    X, _, pairs = _in_range(m.values, m.values, metric)
+    X, top, pairs = _in_range(m.values, m.values, metric)
 
     # Why the shortlist is exact. Let A_ij be the value row i is ranked
     # by: the distance pairs reports, in true units, taken in the units of
@@ -422,14 +429,12 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     mu = (8 * d + 32) * _UNIT_ROUNDOFF
     b = mu / (1.0 - mu)
     if metric == "cosine":
-        Y = X / np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+        Y = unit_rows(X)
         margin = np.full(n, 2.0 * b)
     else:
         Y = X
         sq = np.einsum("ij,ij->i", X, X)
         c = np.sqrt(sq) + math.sqrt(sq.max())
-        r = int(np.argmax(sq))  # top, read off the row of largest norm
-        top = math.frexp(np.abs(m.values[r]).max())[1] - math.frexp(np.abs(X[r]).max())[1]
         margin = 2.0 * b * c**2 + 4.0 * math.ldexp(1.0, -1074 - top) * c
 
     k_eff = min(k, n - 1)

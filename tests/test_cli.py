@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,29 @@ class TestFuse:
         want = features.fuse([features.load_features(a), features.load_features(b)])
         assert got.ids == want.ids
         assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("name", ["fused.csv", "fused.fbin"])
+    def test_extreme_magnitudes_give_unit_blocks(self, tmp_path, capsys, name):
+        """Squares of 1e200 overflow and those of 1e-200 underflow. Each row
+        is brought into range before its norm, so none is lost, no numpy
+        warning fires and no row is taken for an all-zero one."""
+        big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+        big.write_text("a,1e200,1e200\nb,1e-200,2e-200\nc,3,4\n")
+        small.write_text("a,1,0\nb,0,2\nc,1,1\n")
+        out = tmp_path / name
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fuse", str(big), str(small), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert warnings.formatwarning is formatwarning  # main restores the process's own
+        s2, s5 = math.sqrt(0.5), 1 / math.sqrt(5.0)
+        want = np.array([[s2, s2, 1, 0], [s5, 2 * s5, 0, 1], [0.6, 0.8, s2, s2]])
+        if name.endswith(".fbin"):
+            want = want.astype(np.float32).astype(np.float64)
+        got = features.load_features(out)
+        assert got.ids == ["a", "b", "c"]
+        assert np.allclose(got.values, want, atol=0, rtol=1e-15)
 
     def test_id_mismatch_exits_1(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -492,6 +517,21 @@ def test_import_loads_no_scipy():
     subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True
     )
+
+
+def test_library_warning_is_one_line(tmp_path):
+    """A library warning reaches stderr as one ``warning:`` line, like every
+    error, not as Python's two lines naming the source file and line."""
+    feat = tmp_path / "four.csv"
+    feat.write_text("a,1,0\nb,0,1\nc,1,1\nd,2,1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "hubsel.cli", "select", str(feat), "--k", "2",
+         "--out", str(tmp_path / "solution.json")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert child.returncode == 0
+    assert child.stderr == "warning: constant hub score vector, normalization yields all zeros\n"
 
 
 class TestSelect:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -111,6 +112,14 @@ class TestFbin:
         with pytest.raises(ValueError, match=r"row 2: id 'a,b'"):
             load_features(p)
 
+    def test_value_beyond_float32_range_names_row_and_writes_nothing(self, tmp_path):
+        """float32 holds at most ~3.4e38; a larger value would be written as
+        inf, which load_features rejects."""
+        m = FeatureMatrix(ids=["a", "b"], values=np.array([[1.0, 2.0], [0.0, -1e39]]))
+        with pytest.raises(ValueError, match=r"^row 2: value out of float32 range$"):
+            save_features(m, tmp_path / "m.fbin")
+        assert not (tmp_path / "m.fbin").exists()
+
     def test_empty_file(self, tmp_path):
         (tmp_path / "m.fbin").write_bytes(b"")
         with pytest.raises(FeatureFormatError, match=": empty feature file$"):
@@ -152,6 +161,19 @@ class TestNormalize:
             out = l2_normalize(m)
         assert np.array_equal(out.values[0], [0.0, 0.0])
         assert np.isclose(np.linalg.norm(out.values[1]), 1.0)
+
+    def test_extreme_magnitudes_give_unit_rows(self):
+        """Squares of 1e200 overflow and those of 1e-200 underflow; rows are
+        brought into range by a power of two before their norm, and only a
+        truly all-zero row is reported, its bytes passed through."""
+        values = np.array([[1e200, 1e200], [1e-200, 2e-200], [-0.0, 0.0], [3.0, 4.0]])
+        m = FeatureMatrix(ids=["a", "b", "z", "c"], values=values)
+        with pytest.warns(UserWarning, match=r"^1 all-zero row\(s\) .* \[2\]\)$"):
+            out = l2_normalize(m)
+        s2, s5 = math.sqrt(0.5), 1 / math.sqrt(5.0)
+        want = [[s2, s2], [s5, 2 * s5], [0.0, 0.0], [0.6, 0.8]]
+        assert np.allclose(out.values, want, atol=0, rtol=1e-15)
+        assert out.values[2].tobytes() == values[2].tobytes()
 
     def test_random_norms(self):
         m = random_matrix(np.random.default_rng(2), 50, 8)
