@@ -11,10 +11,11 @@ errors (mismatched ids, invalid budgets, unknown modes, missing ground
 truth) and when memory runs out, 2 on I/O failures; a library warning
 is one ``warning:`` line on stderr. All outputs are
 deterministic for a fixed configuration and seed. ``--threads`` is
-accepted for compatibility and has no effect: the kNN scan runs in one
-thread, and the dense affinity of select and rank runs on one thread per
+accepted for compatibility and has no effect: the kNN scan computes each
+next block's product on one worker thread while it reranks the current
+block, and the dense affinity of select and rank runs on one thread per
 CPU in the process's affinity mask, with outputs that do not depend on
-that count. A value below 1 is still an error.
+either. A value below 1 is still an error.
 """
 
 from __future__ import annotations
@@ -246,9 +247,9 @@ def cmd_eval(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility, no effect: the kNN scan runs in one "
-                          "thread, a dense affinity on one per CPU in the affinity mask, "
-                          "with the same outputs")
+                     help="accepted for compatibility, no effect: the kNN scan runs one "
+                          "worker thread, a dense affinity one per CPU in the affinity "
+                          "mask, with the same outputs")
 
 
 def _add_profile_knobs(sub) -> None:

@@ -25,7 +25,6 @@ import os
 import sys
 import threading
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +35,9 @@ from hubsel import table
 METRICS = ("cosine", "euclidean")
 
 # Rows per scan block, sized so one block of approximate distances stays
-# around 64 MB. Results do not depend on the split.
-_BLOCK_ENTRIES = 8_000_000
+# around 32 MB: two are live, one reranked while the next is computed,
+# around 64 MB together. Results do not depend on the split.
+_BLOCK_ENTRIES = 4_000_000
 
 # Rows per block of a self distance matrix, sized so one block of the
 # upper triangle stays around 1 MB next to the n x n result. Results do
@@ -187,17 +187,17 @@ _KERNELS: dict | None = None
 _KERNELS_LOCK = threading.Lock()
 
 
-def _extension(name: str):
-    """The compiled module ``scipy.spatial.<name>`` loaded on its own, or
-    the one ``scipy.spatial`` already holds once the package is imported."""
-    fullname = "scipy.spatial." + name
+def _extension(name: str, package: str = "spatial"):
+    """The compiled module ``scipy.<package>.<name>`` loaded on its own,
+    without its package, or the one already loaded under that name."""
+    fullname = f"scipy.{package}.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         raise ImportError("scipy is not installed")
     finder = importlib.machinery.FileFinder(
-        os.path.join(scipy.submodule_search_locations[0], "spatial"),
+        os.path.join(scipy.submodule_search_locations[0], package),
         (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
     )
     spec = finder.find_spec(fullname)
@@ -288,6 +288,8 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     *_, pairs = _in_range(x, y, metric)
     if not same:
         return pairs(slice(None), slice(None))
+    from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
+
     n = x.shape[0]
     D = np.empty((n, n), dtype=np.float64)
     block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
@@ -365,6 +367,23 @@ class NeighborGraph:
         )
 
 
+def _approximate(Y: np.ndarray, sq: np.ndarray | None, s: int, e: int, out) -> np.ndarray:
+    """Rows s:e of the values :func:`knn_graph` shortlists by, from one
+    matrix product into the first e - s rows of ``out``: 1 - y_i.y_j on
+    unit rows (``sq`` None), else sq_i + sq_j - 2 y_i.y_j with ``sq`` the
+    squared row norms. Each row's own entry is +inf, so the query drops
+    out of its own list."""
+    approx = np.matmul(Y[s:e], Y.T, out=out[: e - s])
+    if sq is None:
+        np.subtract(1.0, approx, out=approx)
+    else:
+        approx *= -2.0
+        approx += sq
+        approx += sq[s:e, None]
+    approx[np.arange(e - s), np.arange(s, e)] = np.inf
+    return approx
+
+
 def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     """Build the exact kNN graph of a feature matrix.
 
@@ -380,6 +399,12 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     every exact neighbor and every tie at the k-th distance; its distances
     are then recomputed in true units as :func:`distance_matrix` computes
     them and sorted by (distance, index).
+
+    Query rows are taken in blocks. One worker thread computes the next
+    block's product while the calling thread reranks the current one, so
+    the product, which releases the interpreter lock, overlaps the rerank,
+    which holds it; the bytes do not depend on the split, and no thread
+    outlives the call.
 
     Parameters
     ----------
@@ -429,7 +454,7 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     mu = (8 * d + 32) * _UNIT_ROUNDOFF
     b = mu / (1.0 - mu)
     if metric == "cosine":
-        Y = unit_rows(X)
+        Y, sq = unit_rows(X), None
         margin = np.full(n, 2.0 * b)
     else:
         Y = X
@@ -437,30 +462,32 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         c = np.sqrt(sq) + math.sqrt(sq.max())
         margin = 2.0 * b * c**2 + 4.0 * math.ldexp(1.0, -1074 - top) * c
 
+    from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
+
     k_eff = min(k, n - 1)
     indices = np.empty((n, k_eff), dtype=np.int64)
     distances = np.empty((n, k_eff), dtype=np.float64)
-    block = max(1, _BLOCK_ENTRIES // n)
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        approx = Y[s:e] @ Y.T
-        if metric == "cosine":
-            np.subtract(1.0, approx, out=approx)
-        else:
-            approx *= -2.0
-            approx += sq
-            approx += sq[s:e, None]
-        # self to +inf so the query drops out of its own list
-        approx[np.arange(e - s), np.arange(s, e)] = np.inf
-        for i, row in zip(range(s, e), approx):
-            kth = np.partition(row, k_eff - 1)[k_eff - 1]
-            cand = np.flatnonzero(row <= kth + margin[i])
-            dist = pairs(slice(i, i + 1), cand)[0]
-            order = np.argsort(dist, kind="stable")[:k_eff]
-            indices[i] = cand[order]
-            distances[i] = dist[order]
-        # freed before the next product, so one block is live at a time
-        del approx, row
+    block = min(max(1, _BLOCK_ENTRIES // n), n)
+    # two block buffers, filled in turn and allocated once, so the two live
+    # blocks never cost a third one's memory (one block leaves one untouched)
+    buffers = np.empty((2, block, n))
+    approx = _approximate(Y, sq, 0, block, buffers[0])
+    # the worker fills the other buffer; a single block starts no thread,
+    # and a failed product raises at its result
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            ahead = None if e == n else pool.submit(
+                _approximate, Y, sq, e, min(e + block, n), buffers[(e // block) % 2]
+            )
+            for i, row in zip(range(s, e), approx):
+                kth = np.partition(row, k_eff - 1)[k_eff - 1]
+                cand = np.flatnonzero(row <= kth + margin[i])
+                dist = pairs(slice(i, i + 1), cand)[0]
+                order = np.argsort(dist, kind="stable")[:k_eff]
+                indices[i] = cand[order]
+                distances[i] = dist[order]
+            approx = ahead.result() if ahead else None
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hubsel import table
-from hubsel.neighbors import NeighborGraph, _check_metric, check_cosine_rows, distance_matrix
+from hubsel.neighbors import (
+    NeighborGraph, _check_metric, _extension, check_cosine_rows, distance_matrix,
+)
 
 TOLERANCE = 1e-9  # y this close to 0 or 1 is at the box; a reward gap this small, no gain
 
@@ -39,11 +41,11 @@ class SelectionProblem:
         Hubness term, min-max normalized to [0, 1].
     d_risk : ndarray (n,)
         Risk term, min-max normalized to [0, 1].
-    a : ndarray or scipy CSR matrix, (n, n)
+    a : ndarray or CsrAffinity, (n, n)
         Symmetric, non-negative, zero diagonal. Dense mode: an ndarray of
-        every pairwise distance. knn_sparse mode: a CSR matrix of the kNN
-        edge distances, the larger of (i, j) and (j, i), zero off the
-        edges. A linear problem: an all-zero CSR matrix.
+        every pairwise distance. knn_sparse mode: a :class:`CsrAffinity`
+        of the kNN edge distances, the larger of (i, j) and (j, i), zero
+        off the edges. A linear problem: a CsrAffinity with no entry.
     k : int
         Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
@@ -86,6 +88,67 @@ class SolverTrace:
     y_max: float = 0.0
 
 
+def _sparsetools():
+    """scipy's compiled CSR functions, ``scipy.sparse._sparsetools``, loaded
+    on their own, which skips the 0.22-0.28 s ``scipy.sparse`` import, or
+    through the package where that load fails."""
+    try:
+        return _extension("_sparsetools", "sparse")
+    except ImportError:
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools
+
+
+@dataclass(eq=False)
+class CsrAffinity:
+    """A sparse (n, n) affinity in compressed sparse row form: row i holds
+    the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, as scipy's CSR matrices hold
+    them. ``a @ y`` is scipy's own CSR product, with its bytes."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y)
+        if y.shape != self.shape[1:]:  # the compiled product reads n entries unchecked
+            raise ValueError(f"cannot multiply a {self.shape} affinity by shape {y.shape}")
+        out = np.zeros(self.shape[0], dtype=np.float64)
+        _sparsetools().csr_matvec(*self.shape, self.indptr, self.indices, self.data, y, out)
+        return out
+
+
+def _knn_affinity(graph: NeighborGraph) -> CsrAffinity:
+    """A on the kNN edges of ``graph``: (i, j) and (j, i) both hold the
+    larger of the two edge distances, and zero distances hold no entry.
+    These are the arrays scipy gives ``mat.maximum(mat.T)`` for the CSR
+    matrix ``mat`` of the graph, computed by the same compiled functions."""
+    tools = _sparsetools()
+    n, width = graph.indices.shape
+    nnz = n * width
+    # scipy's index type: 32 bits while the larger result fits them
+    idx = np.int32 if 2 * nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.arange(0, nnz + 1, width, dtype=idx)
+    indices = graph.indices.astype(idx).ravel()
+    data = graph.distances.astype(np.float64).ravel()
+    tools.csr_sort_indices(n, indptr, indices, data)
+    t_indptr, t_indices, t_data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    tools.csr_tocsc(n, n, indptr, indices, data, t_indptr, t_indices, t_data)
+    a_indptr, a_indices, a_data = np.empty(n + 1, idx), np.empty(2 * nnz, idx), np.empty(2 * nnz)
+    tools.csr_maximum_csr(
+        n, n, indptr, indices, data, t_indptr, t_indices, t_data, a_indptr, a_indices, a_data
+    )
+    size = int(a_indptr[-1])
+    return CsrAffinity(a_indptr, a_indices[:size].copy(), a_data[:size].copy(), (n, n))
+
+
 def _minmax(v: np.ndarray, what: str) -> np.ndarray:
     lo, hi = float(v.min()), float(v.max())
     if hi == lo:
@@ -110,8 +173,9 @@ def build_problem(
     normalized LID vector computed over non-degenerate estimates, with
     degenerate entries mapped to 1 (maximal risk). In ``dense`` mode A is
     the full pairwise distance matrix; in ``knn_sparse`` mode only graph
-    edges are kept and A is symmetrized by the elementwise maximum. With
-    ``linear`` A is an all-zero CSR matrix and no distance is computed.
+    edges are kept and A is symmetrized by the elementwise maximum, in a
+    :class:`CsrAffinity`. With ``linear`` A is a CsrAffinity with no entry
+    and no distance is computed.
 
     Parameters
     ----------
@@ -153,24 +217,14 @@ def build_problem(
         a = distance_matrix(m.values, m.values, metric)
         np.fill_diagonal(a, 0.0)
         return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
-    # imported here: scipy.sparse costs 0.22-0.28 s of start-up, which a
-    # dense A and the commands that build no problem (eval, baseline rank,
-    # fuse) skip
-    from scipy import sparse
-
     if linear:
-        a = sparse.csr_matrix((n, n), dtype=np.float64)
+        a = CsrAffinity(np.zeros(n + 1, np.int32), np.empty(0, np.int32), np.empty(0), (n, n))
     else:
         if graph is None:
             raise ValueError("knn_sparse mode requires a neighbor graph")
         if graph.n != n:
             raise ValueError(f"graph covers {graph.n} fragments, expected {n}")
-        width = graph.indices.shape[1]
-        rows = np.repeat(np.arange(n), width)
-        mat = sparse.coo_matrix(
-            (graph.distances.ravel(), (rows, graph.indices.ravel())), shape=(n, n)
-        ).tocsr()
-        a = mat.maximum(mat.T).tocsr()
+        a = _knn_affinity(graph)
     return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
 
 
@@ -296,6 +350,9 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
 
     y = _initial_vector(p, cfg)  # updated in place
     denom = _pair_divisor(k)
+    # an A with no entry moves no reward: r never holds -0.0, so adding the
+    # zero delta would leave its bytes as they are
+    paired = getattr(p.a, "nnz", None) != 0
     r = rewards(p, y)  # a fresh array, updated in place
     f = objective(p, y)
     _check_finite(r, f)
@@ -320,8 +377,11 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
             break
         cap_j, cap_i = float(y[j]), 1.0 - float(y[i])
         box = min(cap_j, cap_i)
-        row_i, row_j = _row(p.a, i), _row(p.a, j)
-        sigma = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
+        if paired:
+            row_i, row_j = _row(p.a, i), _row(p.a, j)
+            sigma = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
+        else:
+            sigma = 0.0
         if sigma >= 0.0:
             alpha = box
         else:
@@ -336,7 +396,8 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         y[j] = 0.0 if alpha >= cap_j else y[j] - alpha
         y[i] = 1.0 if alpha >= cap_i else y[i] + alpha
 
-        r += (2.0 * alpha / denom) * (row_i - row_j)
+        if paired:
+            r += (2.0 * alpha / denom) * (row_i - row_j)
         f += gain
         objs.append(f)
         updates.append((eta, j, i, alpha))

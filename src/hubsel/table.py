@@ -2,10 +2,10 @@
 
 Tables are UTF-8 text with one row per line and fields separated by
 ``,``. Nothing is quoted, so an id must never contain ``,``, ``\\r`` or
-``\\n``, nor NUL, which the ``.npz`` graph cache cannot store;
-:func:`check_id` holds that rule. Readers skip blank and
-whitespace-only lines, and skip line 1 when it equals the table's header.
-JSON files are UTF-8, indented by 2, with a trailing newline.
+``\\n``, nor NUL, which the ``.npz`` graph cache cannot store, and must
+encode as UTF-8; :func:`check_id` holds that rule. Readers skip blank
+and whitespace-only lines, and skip line 1 when it equals the table's
+header. JSON files are UTF-8, indented by 2, with a trailing newline.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ def check_id(ident: str, what: str) -> None:
     """Reject an id that cannot be written as one table field or cached."""
     if "," in ident or "\r" in ident or "\n" in ident or "\x00" in ident:
         raise ValueError(f"{what} {ident!r} contains ',', '\\r', '\\n' or '\\x00'")
+    if not ident.isascii():
+        try:
+            ident.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: from an archive, or argv bytes
+            # that are not UTF-8
+            raise ValueError(f"{what} {ident!r} is not encodable as UTF-8") from None
 
 
 def read_rows(path, fields: int | None = None, header: str | None = None, parse=None):

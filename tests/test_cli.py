@@ -105,27 +105,31 @@ class TestKnn:
 
 
 class TestThreadsFlag:
-    """--threads is accepted and ignored: the scan is one serial loop over
-    row blocks, and only a dense affinity runs on a thread pool, so a
-    command that builds none starts no thread and the bytes match
-    --threads 1."""
+    """--threads is accepted and ignored. The kNN scan starts exactly one
+    worker, which computes the next block's product and does not outlive
+    the command; a command with no scan and no dense affinity starts no
+    thread; and the bytes match --threads 1."""
 
-    @pytest.mark.parametrize("command", [
-        ["analyze", "{feat}", "--out", "out"],
-        ["knn", "{feat}", "--k", "7", "--out", "g.csv"],
-        ["knn", "{feat}", "--k", "7", "--out", "g.npz"],
-        ["select", "{feat}", "--k", "5", "--out", "s.json", "--mode", "knn-sparse"],
-        ["rank", "--mode", "hub", "--profiles", "{prof}", "--out", "run.csv"],
+    @pytest.mark.parametrize("command, workers", [
+        (["analyze", "{feat}", "--out", "out"], 1),
+        (["knn", "{feat}", "--k", "7", "--out", "g.csv"], 1),
+        (["knn", "{feat}", "--k", "7", "--out", "g.npz"], 1),
+        (["select", "{feat}", "--k", "5", "--out", "s.json", "--mode", "knn-sparse"], 1),
+        (["rank", "--mode", "hub", "--profiles", "{prof}", "--out", "run.csv"], 0),
     ], ids=["analyze", "knn csv", "knn npz", "select knn-sparse", "rank hub"])
     def test_starts_no_thread_and_matches_one_thread(
-        self, workspace, tmp_path, monkeypatch, capsys, command
+        self, workspace, tmp_path, monkeypatch, capsys, command, workers
     ):
         monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7 * workspace["matrix"].n)
+        started = []
+        start = threading.Thread.start
 
-        def no_thread(self):
-            raise AssertionError("a command without a dense affinity started a thread")
+        def counted(self):
+            started.append(self.name)
+            start(self)
 
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        before = threading.active_count()
         written = {}
         for threads in ("1", "2"):
             run = tmp_path / threads
@@ -134,7 +138,10 @@ class TestThreadsFlag:
             argv = [a.format(feat=workspace["features"],
                              prof=workspace["analysis"] / "profile.csv") for a in command]
             capsys.readouterr()
+            started.clear()
             assert cli.main(argv + ["--threads", threads]) == 0
+            assert len(started) == workers
+            assert threading.active_count() == before
             files = {str(p.relative_to(run)): p.read_bytes() for p in sorted(run.rglob("*"))
                      if p.is_file()}
             written[threads] = (files, capsys.readouterr())
@@ -361,6 +368,21 @@ class TestAnalyze:
         want = {p.name: p.read_bytes() for p in fresh.iterdir()}
         assert {p.name: p.read_bytes() for p in out.iterdir()} == want
 
+    def test_archive_ids_that_utf8_cannot_encode_are_a_miss(self, workspace, tmp_path, capsys):
+        """An archive can hold an id that no UTF-8 feature file can: a lone
+        surrogate. Such an archive is a miss that parses the feature file,
+        not a hit that fails to write the profile."""
+        feat, out = str(workspace["features"]), tmp_path / "out"
+        assert cli.main(["analyze", feat, "--out", str(out)]) == 0
+        cold = {p.name: p.read_bytes() for p in out.iterdir()}
+        (cache,) = out.glob("graph_*.npz")
+        ids, g, members = neighbors.load_graph(cache, cli._CACHE_MEMBERS)
+        neighbors.save_graph(g, ["\ud800" + ids[0], *ids[1:]], cache, members)
+        capsys.readouterr()
+        assert cli.main(["analyze", feat, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+
     def test_one_archive_per_feature_file_and_metric(self, workspace, tmp_path):
         feat, out = str(workspace["features"]), tmp_path / "out"
         assert cli.main(["analyze", feat, "--out", str(out)]) == 0
@@ -473,13 +495,13 @@ print(json.dumps([code, [m for m in ("scipy.spatial", "scipy.sparse") if m in sy
 
 @pytest.mark.parametrize("command", [
     "cached analyze", "eval", "rank hub", "fuse", "help",
-    "cold analyze", "dense select", "solver rank", "sparse select",
+    "cold analyze", "dense select", "solver rank", "sparse select", "linear select",
 ])
 def test_command_imports_no_scipy(workspace, tmp_path, command):
     """scipy.spatial and scipy.sparse cost ~0.5 s of start-up. A distance
-    needs neither, only cdist's compiled kernels, so a cold analyze, a
-    dense select or a solver rank that loads scipy.spatial has fallen back
-    to cdist. Only a knn-sparse (or --linear) problem loads scipy.sparse."""
+    needs neither, only cdist's compiled kernels, and a knn-sparse or
+    --linear affinity only scipy's compiled CSR functions, so a command
+    that loads either package has fallen back to it."""
     feat, profile = str(workspace["features"]), str(workspace["analysis"] / "profile.csv")
     out, run, gt = tmp_path / "out", tmp_path / "run.csv", tmp_path / "gt.csv"
     solution = str(tmp_path / "solution.json")
@@ -499,21 +521,24 @@ def test_command_imports_no_scipy(workspace, tmp_path, command):
         "solver rank": ["rank", "--mode", "hub-first", "--features", feat, "--k", "5",
                         "--profiles", profile, "--out", str(run)],
         "sparse select": ["select", feat, "--k", "5", "--mode", "knn-sparse", "--out", solution],
+        "linear select": ["select", feat, "--k", "5", "--mode", "knn-sparse", "--linear",
+                          "--out", solution],
     }[command]
     src = Path(__file__).resolve().parents[1] / "src"
     child = subprocess.run(
         [sys.executable, "-c", _REPORT_IMPORTS, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True,
     )
-    loaded = ["scipy.sparse"] if command == "sparse select" else []
-    assert json.loads(child.stdout.splitlines()[-1]) == [0, loaded]
+    assert json.loads(child.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_import_loads_no_scipy():
     """scipy costs ~0.5 s of start-up that commands computing no distance
-    and building no problem never need."""
+    and building no problem never need, and concurrent.futures ~8 ms that
+    only a thread pool needs."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import hubsel.cli, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    code = ("import hubsel.cli, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+            "; assert 'concurrent.futures' not in sys.modules")
     subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True
     )
@@ -644,6 +669,33 @@ class TestSelect:
         assert cli.main(args + ["--mode", "knn-sparse", "--out", str(sparse_out)]) == 0
         assert cli.main(args + ["--out", str(dense_out)]) == 0
         assert sparse_out.read_bytes() == dense_out.read_bytes()  # A = 0 either way
+
+    @pytest.mark.parametrize("init", ["uniform", "lid-first"])
+    def test_linear_select_adds_no_pair_delta(self, workspace, tmp_path, monkeypatch, init):
+        """A linear solve builds no row of A: its JSON and trace are those
+        of the same solve on an all-zero dense A, which adds the zero
+        difference of two rows to the rewards at every update."""
+        args = ["select", str(workspace["features"]), "--k", "3", "--linear", "--init", init,
+                "--mode", "knn-sparse"]
+        build = selector.build_problem
+
+        def zero_dense(*a, **kw):
+            p = build(*a, **kw)
+            p.a = np.zeros(p.a.shape)
+            return p
+
+        written = []
+        for name in ("dense", "linear"):
+            if name == "dense":
+                monkeypatch.setattr(selector, "build_problem", zero_dense)
+            else:
+                monkeypatch.setattr(selector, "build_problem", build)
+                monkeypatch.setattr(selector, "_row", lambda a, i: pytest.fail("built a row"))
+            out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert cli.main(args + ["--out", str(out), "--trace", str(trace)]) == 0
+            written.append((out.read_bytes(), trace.read_bytes()))
+        assert written[0] == written[1]
+        assert json.loads(written[1][0])["iterations"] > 0
 
     def test_sparse_affinity(self, workspace, tmp_path, capsys):
         out = tmp_path / "solution.json"
@@ -796,7 +848,11 @@ class TestSolveReadsHubnessAndLidOnly:
         g = neighbors.knn_graph(m, 11, metric="cosine")
         expected = np.zeros((m.n, m.n))
         expected[np.repeat(np.arange(m.n), 11), g.indices.ravel()] = g.distances.ravel()
-        assert np.array_equal(problems[0].a.toarray(), np.maximum(expected, expected.T))
+        from scipy import sparse
+
+        a = problems[0].a
+        dense = sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape).toarray()
+        assert np.array_equal(dense, np.maximum(expected, expected.T))
 
 
 class TestProfilesReuseTheArchive:
@@ -1081,6 +1137,20 @@ class TestRank:
         assert "'q,1'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_query_id_of_bytes_not_utf8_exits_1_before_writing(self, workspace, tmp_path, capsys):
+        """Argument bytes that are not UTF-8 reach Python as lone surrogates,
+        which no table can hold: exit 1 and no partial run file."""
+        out = tmp_path / "run.csv"
+        args = [
+            "rank", "--mode", "hub", "--query-id", "q\udcff", "--out", str(out),
+            "--profiles", str(workspace["analysis"] / "profile.csv"),
+        ]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: query id 'q\\udcff' is not encodable as UTF-8\n"
+        )
+        assert not out.exists()
+
     def test_solver_mode_requires_features(self, tmp_path, capsys):
         args = ["rank", "--mode", "hub-first", "--out", str(tmp_path / "r.csv")]
         assert cli.main(args) == 1
@@ -1265,6 +1335,34 @@ def test_out_of_memory_exits_1(workspace, tmp_path, monkeypatch, capsys):
             "--out", str(tmp_path / "solution.json")]
     assert cli.main(args) == 1
     assert "error: out of memory (Unable to allocate 18.6 GiB)" in capsys.readouterr().err
+
+
+def test_failing_scan_product_exits_1_and_leaves_no_thread(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    """A MemoryError in a block product that the scan's worker computes
+    reaches ``main``: exit 1, no solution, no thread left over."""
+    n = workspace["matrix"].n
+    monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", 7 * n)  # 7-row blocks
+    approximate = neighbors._approximate
+    workers = []
+
+    def later_block_fails(Y, sq, s, e, out):
+        if s > 0:  # every block after the first is the worker's
+            workers.append(threading.current_thread() is not threading.main_thread())
+            raise MemoryError("Unable to allocate 2.2 KiB")
+        return approximate(Y, sq, s, e, out)
+
+    monkeypatch.setattr(neighbors, "_approximate", later_block_fails)
+    before = threading.active_count()
+    out = tmp_path / "solution.json"
+    args = ["select", str(workspace["features"]), "--k", "5", "--out", str(out),
+            "--mode", "knn-sparse"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: out of memory (Unable to allocate 2.2 KiB)\n"
+    assert workers == [True]
+    assert not out.exists()
+    assert threading.active_count() == before
 
 
 def test_failing_affinity_block_exits_1_and_leaves_no_thread(

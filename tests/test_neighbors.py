@@ -384,6 +384,31 @@ class TestExactKernel:
         values[~values.any(axis=1)] = 1.0
         assert_exact_graph(values, 10, metric)
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_overlapped_blocks_give_the_bytes_of_one_block(self, monkeypatch, metric):
+        """With several blocks one worker computes each next product while
+        the caller reranks; one block starts no worker. The bytes are the
+        same at every split, and no thread outlives the scan."""
+        values = np.random.default_rng(35).normal(1.0, 1.0, (90, 6))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        before = threading.active_count()
+        graphs = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for rows, workers in ((90, 0), (1, 1), (7, 1), (45, 1), (89, 1)):
+                monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", rows * 90)
+                started.clear()
+                g = knn_graph(_matrix(values), 12, metric)
+                assert len(started) == workers and threading.active_count() == before
+                graphs.add((g.indices.tobytes(), g.distances.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(graphs) == 1
+        assert_exact_graph(values, 12, metric)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 12).flatmap(

@@ -81,21 +81,14 @@ class TestBuildProblem:
         hub = hubness_scores(g)
         lid = lid_mle(g, 2)
         p = build_problem(hub, lid, m, "euclidean", 3, mode="knn_sparse", graph=g)
-        a = p.a.toarray()
+        a = sparse.csr_matrix((p.a.data, p.a.indices, p.a.indptr), shape=p.a.shape).toarray()
         assert np.array_equal(a, a.T)
         assert np.array_equal(np.diag(a), np.zeros(12))
-        edges = set()
+        want = np.zeros((12, 12))  # the larger edge distance on (i, j) and (j, i)
         for i in range(12):
-            for j in g.indices[i]:
-                edges.add((i, int(j)))
-        for i in range(12):
-            for j in range(12):
-                if i == j:
-                    continue
-                if (i, j) in edges or (j, i) in edges:
-                    assert a[i, j] > 0.0 or p.a[i, j] == 0.0  # stored edge
-                else:
-                    assert a[i, j] == 0.0
+            for j, dist in zip(g.indices[i], g.distances[i]):
+                want[i, j] = want[j, i] = max(want[i, j], dist)
+        assert np.array_equal(a, want)
 
     def test_knn_sparse_needs_graph(self):
         m = random_matrix(np.random.default_rng(5), 5, 3)
@@ -125,7 +118,8 @@ class TestBuildProblem:
         hub, lid = hub_lid_profiles([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         for mode in ("dense", "knn_sparse"):  # knn_sparse without a graph
             p = build_problem(hub, lid, m, "cosine", 2, mode=mode, linear=True)
-            assert sparse.issparse(p.a) and p.a.shape == (6, 6) and p.a.nnz == 0
+            assert isinstance(p.a, selector.CsrAffinity)
+            assert p.a.shape == (6, 6) and p.a.nnz == 0
 
     def test_unknown_mode(self):
         m = random_matrix(np.random.default_rng(8), 4, 3)
@@ -133,6 +127,63 @@ class TestBuildProblem:
         for linear in (False, True):
             with pytest.raises(ValueError, match="mode"):
                 build_problem(hub, lid, m, "euclidean", 2, mode="banded", linear=linear)
+
+
+class TestCsrAffinity:
+    """The knn-sparse A: the arrays and products of scipy.sparse, from
+    scipy's compiled CSR functions without the package."""
+
+    @staticmethod
+    def scipy_affinity(g):
+        n, width = g.indices.shape
+        rows = np.repeat(np.arange(n), width)
+        mat = sparse.coo_matrix(
+            (g.distances.ravel(), (rows, g.indices.ravel())), shape=(n, n)
+        ).tocsr()
+        return mat.maximum(mat.T).tocsr()
+
+    @staticmethod
+    def assert_same(a, b, rng):
+        assert isinstance(a, selector.CsrAffinity) and a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        n = a.shape[0]
+        for y in (np.full(n, 3 / n), (rng.uniform(size=n) < 0.2) * 1.0, rng.uniform(size=n)):
+            assert (a @ y).tobytes() == (b @ y).tobytes()
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_arrays_and_products_equal_scipy(self, metric):
+        rng = np.random.default_rng(41)
+        values = rng.normal(1.0, 1.0, (80, 5))
+        values[10:13] = values[40]  # zero-distance edges, which maximum prunes
+        m = FeatureMatrix([f"f{i}" for i in range(80)], values)
+        for k in (1, 6, 79):
+            g = knn_graph(m, k, metric)
+            a, b = selector._knn_affinity(g), self.scipy_affinity(g)
+            self.assert_same(a, b, rng)
+            assert (g.distances == 0.0).any() and (a.data > 0.0).all()
+
+    def test_package_import_gives_the_same_bytes(self, monkeypatch):
+        """Where the standalone load fails, scipy.sparse's own module serves."""
+        asked = []
+
+        def no_extension(name, package="spatial"):
+            asked.append(f"scipy.{package}.{name}")
+            raise ImportError(f"no {asked[-1]}")
+
+        rng = np.random.default_rng(42)
+        g = knn_graph(random_matrix(rng, 50, 4), 5, "euclidean")
+        monkeypatch.setattr(selector, "_extension", no_extension)
+        self.assert_same(selector._knn_affinity(g), self.scipy_affinity(g), rng)
+        assert set(asked) == {"scipy.sparse._sparsetools"}
+
+    def test_product_of_another_length_raises(self):
+        g = knn_graph(random_matrix(np.random.default_rng(43), 9, 3), 2, "euclidean")
+        a = selector._knn_affinity(g)
+        for y in (np.ones(8), np.ones(10), np.ones((9, 1))):
+            with pytest.raises(ValueError, match="cannot multiply"):
+                a @ y
 
 
 class TestObjectiveAndReward:
