@@ -60,7 +60,7 @@ print(f"\nbudget k = {K}, affinity = raw euclidean distances (unbounded):")
 problem, (val, init, sel, trace) = pick("euclidean")
 n_tight = sum(1 for i in sel if i < 120)
 print(f"  best start {init}, {trace.iterations} iters, kkt {trace.kkt_residual:.1e}")
-print(f"  affinity entries reach {float(problem.a.max()):.1f}; the spread term dominates")
+print(f"  affinity entries reach {np.asarray(problem.a).max():.1f}; the spread term dominates")
 print(f"  tight-blob picks: {n_tight}/{K} (the solver maximizes mutual distance)")
 
 print(f"\nsame budget, affinity = cosine distances (bounded by 2):")

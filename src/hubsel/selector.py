@@ -18,6 +18,7 @@ divisor k (k - 1) is taken as at least 1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,10 +26,24 @@ import numpy as np
 
 from hubsel import table
 from hubsel.neighbors import (
-    NeighborGraph, _check_metric, _extension, check_cosine_rows, distance_matrix,
+    NeighborGraph, _check_metric, _extension, _in_range, check_cosine_rows, distance_matrix,
 )
 
 TOLERANCE = 1e-9  # y this close to 0 or 1 is at the box; a reward gap this small, no gain
+
+# The share of n past which a dense affinity computes its whole matrix:
+# once a product's support, or the count of rows computed on demand,
+# passes it, on-demand work would cost more than the one full pass.
+_ON_DEMAND_SHARE = 0.25
+
+# Rows per block of a dense affinity's product. Both of its backings
+# multiply the same row blocks, so their products agree on any BLAS. Up
+# to this many rows a block is the one product with the whole matrix.
+# OpenBLAS takes rows in fours and splits a product's rows evenly over its
+# threads, so where each thread's share is a multiple of 4 (n = 5000 on
+# one or two threads) blocks of a multiple of 8 rows give that product's
+# bytes too.
+_PRODUCT_ROWS = 64
 
 
 @dataclass
@@ -41,11 +56,14 @@ class SelectionProblem:
         Hubness term, min-max normalized to [0, 1].
     d_risk : ndarray (n,)
         Risk term, min-max normalized to [0, 1].
-    a : ndarray or CsrAffinity, (n, n)
-        Symmetric, non-negative, zero diagonal. Dense mode: an ndarray of
-        every pairwise distance. knn_sparse mode: a :class:`CsrAffinity`
-        of the kNN edge distances, the larger of (i, j) and (j, i), zero
-        off the edges. A linear problem: a CsrAffinity with no entry.
+    a : DenseAffinity, CsrAffinity or ndarray, (n, n)
+        Symmetric, non-negative, zero diagonal. Dense mode: a
+        :class:`DenseAffinity` of every pairwise distance, which computes
+        the rows and products the solver reads, or the whole matrix once
+        they stop paying. knn_sparse mode: a :class:`CsrAffinity` of the
+        kNN edge distances, the larger of (i, j) and (j, i), zero off the
+        edges. A linear problem: a CsrAffinity with no entry. An ndarray
+        assigned here serves as it is.
     k : int
         Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
@@ -116,12 +134,119 @@ class CsrAffinity:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    def row(self, i: int) -> np.ndarray:
+        """Row i as a dense vector. Reads only the CSR arrays, so it also
+        serves scipy's CSR matrices."""
+        row = np.zeros(self.shape[1])
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        row[self.indices[lo:hi]] = self.data[lo:hi]
+        return row
+
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        if y.shape != self.shape[1:]:  # the compiled product reads n entries unchecked
-            raise ValueError(f"cannot multiply a {self.shape} affinity by shape {y.shape}")
+        y = _checked_vector(self, y)  # the compiled product reads n entries unchecked
         out = np.zeros(self.shape[0], dtype=np.float64)
         _sparsetools().csr_matvec(*self.shape, self.indptr, self.indices, self.data, y, out)
+        return out
+
+
+def _checked_vector(a, y) -> np.ndarray:
+    y = np.asarray(y)
+    if y.shape != a.shape[1:]:
+        raise ValueError(f"cannot multiply a {a.shape} affinity by shape {y.shape}")
+    return y
+
+
+class DenseAffinity:
+    """Every pairwise distance between the rows of ``values``, as an
+    (n, n) affinity with a zero diagonal, computed as it is read.
+
+    ``row(i)`` computes one row and keeps it; ``a @ y`` computes only the
+    columns of A at the support S of y, since every other column meets a
+    zero of y. Each distance is the one :func:`distance_matrix` gives the
+    pair, whatever the rows computed with it, so on-demand rows equal the
+    matrix's rows; and a product scatters the columns S into zero row
+    blocks of width n and multiplies them as the matrix's own row blocks
+    would be, so it has the bytes of the product with the matrix. Once a
+    product's support or the count of rows kept passes
+    ``_ON_DEMAND_SHARE`` of n, the matrix is built once, by the threaded
+    pass of :func:`distance_matrix`, and serves every later read; so does
+    ``np.asarray(a)``. A euclidean collection whose distances are not
+    bounded below the float64 maximum builds it at once, so a distance
+    that does not fit raises ``ValueError`` here, as the full pass does.
+    """
+
+    def __init__(self, values: np.ndarray, metric: str):
+        self._values = np.asarray(values, dtype=np.float64)
+        self._metric = metric
+        n = self._values.shape[0]
+        self.shape = (n, n)
+        self._rows: dict[int, np.ndarray] = {}
+        self._matrix: np.ndarray | None = None
+        xs, top, self._pairs = _in_range(self._values, self._values, metric)
+        # a distance is at most twice the largest row norm, taken here in
+        # the scaled units of xs, with a factor of 2 for rounding
+        if top > 0 and 4.0 * float(np.linalg.norm(xs, axis=1).max()) > math.ldexp(
+            float(np.finfo(np.float64).max), -top
+        ):
+            self._materialized()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distances held: the matrix, or the rows kept."""
+        if self._matrix is not None:
+            return self._matrix.nbytes
+        return sum(row.nbytes for row in self._rows.values())
+
+    def _pays(self, count: int) -> bool:
+        return count <= self.shape[0] * _ON_DEMAND_SHARE
+
+    def _materialized(self) -> np.ndarray:
+        if self._matrix is None:
+            self._rows.clear()
+            a = distance_matrix(self._values, self._values, self._metric)
+            np.fill_diagonal(a, 0.0)
+            self._matrix = a
+        return self._matrix
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        a = self._materialized()
+        if dtype is not None:
+            a = a.astype(dtype, copy=False)
+        return a.copy() if copy else a
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i, computed on its first read, or a row of the matrix."""
+        row = self._rows.get(i)
+        if row is None:
+            if self._matrix is not None or not self._pays(len(self._rows) + 1):
+                return self._materialized()[i]
+            row = self._pairs(slice(i, i + 1), slice(None))[0]
+            row[i] = 0.0
+            self._rows[i] = row
+        return row
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        y = _checked_vector(self, y)
+        n = self.shape[0]
+        support = np.flatnonzero(y)
+        if self._matrix is not None or not self._pays(support.size):
+            a = self._materialized()
+
+            def block(s: int, e: int) -> np.ndarray:
+                return a[s:e]
+        else:
+            cols = self._pairs(slice(None), support)  # A[:, S] but its diagonal
+            cols[support, np.arange(support.size)] = 0.0
+            buf = np.zeros((min(_PRODUCT_ROWS, n), n))
+
+            def block(s: int, e: int) -> np.ndarray:
+                buf[: e - s, support] = cols[s:e]
+                return buf[: e - s]
+
+        out = np.empty(n, dtype=np.float64)
+        for s in range(0, n, _PRODUCT_ROWS):
+            e = min(s + _PRODUCT_ROWS, n)
+            out[s:e] = block(s, e) @ y
         return out
 
 
@@ -167,12 +292,13 @@ def build_problem(
     graph: NeighborGraph | None = None,
     linear: bool = False,
 ) -> SelectionProblem:
-    """Normalize profiles and materialize the affinity for one instance.
+    """Normalize profiles and set up the affinity for one instance.
 
     H is the min-max normalized hubness score vector. D is the min-max
     normalized LID vector computed over non-degenerate estimates, with
     degenerate entries mapped to 1 (maximal risk). In ``dense`` mode A is
-    the full pairwise distance matrix; in ``knn_sparse`` mode only graph
+    the full pairwise distance matrix, a :class:`DenseAffinity` that
+    computes what the solver reads; in ``knn_sparse`` mode only graph
     edges are kept and A is symmetrized by the elementwise maximum, in a
     :class:`CsrAffinity`. With ``linear`` A is a CsrAffinity with no entry
     and no distance is computed.
@@ -214,9 +340,7 @@ def build_problem(
     if mode == "dense" and not linear:
         if metric == "cosine":
             check_cosine_rows(m)
-        a = distance_matrix(m.values, m.values, metric)
-        np.fill_diagonal(a, 0.0)
-        return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
+        return SelectionProblem(h=h, d_risk=d_risk, a=DenseAffinity(m.values, metric), k=k)
     if linear:
         a = CsrAffinity(np.zeros(n + 1, np.int32), np.empty(0, np.int32), np.empty(0), (n, n))
     else:
@@ -229,13 +353,13 @@ def build_problem(
 
 
 def _row(a, i: int) -> np.ndarray:
-    """Row i of A as a dense vector; the one place that tells dense from CSR."""
+    """Row i of A as a dense vector; the one place that tells the storages
+    apart: an ndarray, a DenseAffinity, or any CSR matrix."""
     if isinstance(a, np.ndarray):
         return a[i]
-    row = np.zeros(a.shape[1])
-    lo, hi = a.indptr[i], a.indptr[i + 1]
-    row[a.indices[lo:hi]] = a.data[lo:hi]
-    return row
+    if isinstance(a, DenseAffinity):
+        return a.row(i)
+    return CsrAffinity.row(a, i)
 
 
 def _pair_divisor(k: int) -> int:
@@ -362,15 +486,20 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     drift = abs(float(y.sum()) - k)
     y_lo, y_hi = float(y.min()), float(y.max())
     converged = False
+    # receivers (below 1) and donors (above 0), with r masked to each; only
+    # y_i and y_j move, so an update sets them at i and j alone, and adds
+    # to r_hi and r_lo the delta it adds to r: a finite delta leaves their
+    # infinities as they are and their other entries equal to r's
+    recv, don = y < 1.0 - TOLERANCE, y > TOLERANCE
+    n_recv, n_don = int(recv.sum()), int(don.sum())
+    r_hi, r_lo = np.where(recv, r, -np.inf), np.where(don, r, np.inf)
 
     for _ in range(max_iter):
-        recv = y < 1.0 - TOLERANCE
-        don = y > TOLERANCE
-        if not recv.any() or not don.any():
+        if not n_recv or not n_don:
             converged = True
             break
-        i = int(np.argmax(np.where(recv, r, -np.inf)))
-        j = int(np.argmin(np.where(don, r, np.inf)))
+        i = int(np.argmax(r_hi))
+        j = int(np.argmin(r_lo))
         eta = float(r[i] - r[j])
         if eta <= TOLERANCE:
             converged = True
@@ -397,7 +526,18 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         y[i] = 1.0 if alpha >= cap_i else y[i] + alpha
 
         if paired:
-            r += (2.0 * alpha / denom) * (row_i - row_j)
+            delta = row_i - row_j
+            delta *= 2.0 * alpha / denom
+            r += delta
+            r_hi += delta
+            r_lo += delta
+        for t in (i, j):
+            below, above = bool(y[t] < 1.0 - TOLERANCE), bool(y[t] > TOLERANCE)
+            n_recv += below - bool(recv[t])
+            n_don += above - bool(don[t])
+            recv[t], don[t] = below, above
+            r_hi[t] = r[t] if below else -np.inf
+            r_lo[t] = r[t] if above else np.inf
         f += gain
         objs.append(f)
         updates.append((eta, j, i, alpha))

@@ -107,7 +107,7 @@ class TestKnn:
 class TestThreadsFlag:
     """--threads is accepted and ignored. The kNN scan starts exactly one
     worker, which computes the next block's product and does not outlive
-    the command; a command with no scan and no dense affinity starts no
+    the command; a command with no scan and no whole dense matrix starts no
     thread; and the bytes match --threads 1."""
 
     @pytest.mark.parametrize("command, workers", [
@@ -116,7 +116,9 @@ class TestThreadsFlag:
         (["knn", "{feat}", "--k", "7", "--out", "g.npz"], 1),
         (["select", "{feat}", "--k", "5", "--out", "s.json", "--mode", "knn-sparse"], 1),
         (["rank", "--mode", "hub", "--profiles", "{prof}", "--out", "run.csv"], 0),
-    ], ids=["analyze", "knn csv", "knn npz", "select knn-sparse", "rank hub"])
+        (["rank", "--mode", "hub-first", "--features", "{feat}", "--k", "5",
+          "--profiles", "{prof}", "--out", "run.csv"], 0),
+    ], ids=["analyze", "knn csv", "knn npz", "select knn-sparse", "rank hub", "rank hub-first"])
     def test_starts_no_thread_and_matches_one_thread(
         self, workspace, tmp_path, monkeypatch, capsys, command, workers
     ):
@@ -1019,30 +1021,136 @@ class TestProfilesReuseTheArchive:
         """A dense A is multiplied by y at the start of the solve and once at
         its end; the KKT residual, the rounding, the objective and the
         ranking share that last product."""
-        class Counted(np.ndarray):
-            products = 0
-
-            def __matmul__(self, other):
-                Counted.products += 1
-                return np.asarray(self) @ other
-
-        build = selector.build_problem
-
-        def counted(*args, **kwargs):
-            problem = build(*args, **kwargs)
-            problem.a = problem.a.view(Counted)
-            return problem
-
-        monkeypatch.setattr(selector, "build_problem", counted)
+        products = []
+        matmul = selector.DenseAffinity.__matmul__
+        monkeypatch.setattr(selector.DenseAffinity, "__matmul__",
+                            lambda a, y: products.append(1) or matmul(a, y))
         feat, profiles = str(workspace["features"]), str(workspace["analysis"] / "profile.csv")
         for argv in (
             ["select", feat, "--k", "4", "--out", str(tmp_path / "s.json")],
             ["rank", "--mode", "hub-first", "--features", feat, "--k", "4",
              "--profiles", profiles, "--out", str(tmp_path / "r.csv")],
         ):
-            Counted.products = 0
+            products.clear()
             assert cli.main(argv) == 0
-            assert Counted.products == 2, argv[0]
+            assert len(products) == 2, argv[0]
+
+
+class TestDenseAffinityOnDemand:
+    """Dense select and solver-mode rank compute the rows and products of A
+    they read, and build the whole matrix only once that stops paying, with
+    the same bytes either way."""
+
+    COMMANDS = (
+        ["select", "{feat}", "--k", "4", "--out", "hub.json", "--trace", "hub.csv"],
+        ["select", "{feat}", "--k", "4", "--init", "lid-first", "--step", "paper",
+         "--out", "lid.json", "--trace", "lid.csv"],
+        ["select", "{feat}", "--k", "4", "--init", "uniform",
+         "--out", "uniform.json", "--trace", "uniform.csv"],
+        ["rank", "--mode", "hub-first", "--features", "{feat}", "--k", "4", "--out", "hub_run.csv"],
+        ["rank", "--mode", "lid-first", "--features", "{feat}", "--k", "5", "--step", "paper",
+         "--out", "lid_run.csv"],
+    )
+
+    @staticmethod
+    def written(monkeypatch, capsys, run, commands):
+        """Files and stdout of ``commands`` run in the fresh directory ``run``."""
+        run.mkdir()
+        monkeypatch.chdir(run)
+        capsys.readouterr()
+        for argv in commands:
+            assert cli.main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(run.iterdir())}, capsys.readouterr().out
+
+    @staticmethod
+    def no_matrix(monkeypatch):
+        distance_matrix = neighbors.distance_matrix
+
+        def pairs_only(x, y, metric):
+            if y is x:
+                pytest.fail("built the whole matrix")
+            return distance_matrix(x, y, metric)
+
+        monkeypatch.setattr(neighbors, "distance_matrix", pairs_only)
+        monkeypatch.setattr(selector, "distance_matrix", pairs_only)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_backings_write_the_same_bytes(self, workspace, tmp_path, monkeypatch, capsys, metric):
+        commands = [[a.format(feat=workspace["features"]) for a in argv] + ["--metric", metric]
+                    for argv in self.COMMANDS]
+        outputs = []
+        for share in (0.0, np.inf):  # the matrix at the first read, or never
+            monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", share)
+            if share == np.inf:
+                self.no_matrix(monkeypatch)
+            outputs.append(self.written(monkeypatch, capsys, tmp_path / str(share), commands))
+        assert outputs[0] == outputs[1]
+
+    def test_hub_first_rank_and_default_select_build_no_matrix(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        feat, prof = str(workspace["features"]), str(workspace["analysis"] / "profile.csv")
+        commands = [
+            ["select", feat, "--k", "5", "--profiles", prof, "--out", "s.json", "--trace", "t.csv"],
+            ["rank", "--mode", "hub-first", "--features", feat, "--k", "5", "--profiles", prof,
+             "--out", "run.csv"],
+        ]
+        share = selector._ON_DEMAND_SHARE
+        monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", 0.0)
+        built = self.written(monkeypatch, capsys, tmp_path / "built", commands)
+        monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", share)
+        self.no_matrix(monkeypatch)
+        assert self.written(monkeypatch, capsys, tmp_path / "on_demand", commands) == built
+
+    @pytest.mark.parametrize("command", ["select", "rank"])
+    def test_distance_beyond_the_float64_maximum_exits_1(self, tmp_path, capsys, command):
+        """A hub-first solve that reads no pair whose distance overflows
+        still fails, with the message of the full pass."""
+        m = random_matrix(np.random.default_rng(7), 40, 4)
+        safe = tmp_path / "safe.csv"
+        features.save_features(m, safe)
+        assert cli.main(["analyze", str(safe), "--out", str(tmp_path / "a"),
+                         "--metric", "euclidean"]) == 0
+        prof = tmp_path / "a" / "profile.csv"
+        # the two least popular fragments, 3e308 apart: no hub-first start holds them
+        far = np.argsort(stats.load_profile_csv(prof).hubness.scores, kind="stable")[:2]
+        values = m.values.copy()
+        values[far] = 0.0
+        values[far, 0] = [1.5e308, -1.5e308]
+        over = tmp_path / "over.csv"
+        features.save_features(features.FeatureMatrix(m.ids, values), over)
+        argv = {
+            "select": ["select", str(over), "--out", str(tmp_path / "s.json")],
+            "rank": ["rank", "--mode", "hub-first", "--features", str(over),
+                     "--out", str(tmp_path / "r.csv")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv + ["--k", "3", "--profiles", str(prof), "--metric", "euclidean"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a euclidean distance exceeds the float64 maximum (about 1.8e308)\n"
+        )
+        assert not (tmp_path / "s.json").exists() and not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("part", ["row", "product"])
+    def test_out_of_memory_in_a_row_or_a_product_exits_1(
+        self, workspace, tmp_path, monkeypatch, capsys, part
+    ):
+        n = workspace["matrix"].n
+        distances = neighbors._distances
+
+        def fails(x, y, metric):
+            if (len(x), len(y)) == ((1, n) if part == "row" else (n, 5)):
+                raise MemoryError("Unable to allocate 320 B")
+            return distances(x, y, metric)
+
+        monkeypatch.setattr(neighbors, "_distances", fails)
+        out = tmp_path / "run.csv"
+        argv = ["rank", "--mode", "hub-first", "--features", str(workspace["features"]),
+                "--k", "5", "--profiles", str(workspace["analysis"] / "profile.csv"),
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: out of memory (Unable to allocate 320 B)\n"
+        assert not out.exists()
 
 
 class TestRank:
@@ -1384,7 +1492,8 @@ def test_failing_affinity_block_exits_1_and_leaves_no_thread(
     before = threading.active_count()
     out = tmp_path / "solution.json"
     args = ["select", str(workspace["features"]), "--k", "5", "--out", str(out),
-            "--mode", "dense", "--profiles", str(workspace["analysis"] / "profile.csv")]
+            "--mode", "dense", "--profiles", str(workspace["analysis"] / "profile.csv"),
+            "--init", "uniform"]
     assert cli.main(args) == 1
     assert capsys.readouterr().err == "error: out of memory (Unable to allocate 1.0 MiB)\n"
     assert not out.exists()

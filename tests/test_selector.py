@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from hubsel import selector
+from hubsel.evaluation import Ranking, save_run
 from hubsel.features import FeatureMatrix
 from hubsel.neighbors import knn_graph, pairwise_distance
 from hubsel.selector import (
@@ -68,12 +69,13 @@ class TestBuildProblem:
         hub, lid = hub_lid_profiles([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
         for metric in ("cosine", "euclidean"):
             p = build_problem(hub, lid, m, metric, 2)
-            assert np.array_equal(p.a, p.a.T)
-            assert np.array_equal(np.diag(p.a), np.zeros(4))
+            a = np.asarray(p.a)
+            assert np.array_equal(a, a.T)
+            assert np.array_equal(np.diag(a), np.zeros(4))
             for i in range(4):
                 for j in range(i + 1, 4):
                     direct = pairwise_distance(m.values[i], m.values[j], metric)
-                    assert p.a[i, j] == pytest.approx(direct, abs=1e-12)
+                    assert a[i, j] == pytest.approx(direct, abs=1e-12)
 
     def test_knn_sparse_symmetrized_by_max(self):
         m = random_matrix(np.random.default_rng(4), 12, 4)
@@ -182,6 +184,123 @@ class TestCsrAffinity:
         g = knn_graph(random_matrix(np.random.default_rng(43), 9, 3), 2, "euclidean")
         a = selector._knn_affinity(g)
         for y in (np.ones(8), np.ones(10), np.ones((9, 1))):
+            with pytest.raises(ValueError, match="cannot multiply"):
+                a @ y
+
+
+INITS = ("hub_first", "lid_first", "uniform")
+
+
+def _solved_bytes(p, cfg, tmp_path):
+    """Every output of one solve: y, the trace, the ranking, and the
+    solution, trace and run files."""
+    y, trace = solve(p, cfg)
+    ids = [f"f{i}" for i in range(p.n)]
+    order = selector.ranking_order(y, p)
+    save_solution(tmp_path / "s.json", ids, p, y, trace, init_label="x")
+    save_trace(tmp_path / "t.csv", trace)
+    save_run(tmp_path / "r.csv", [Ranking("q", [ids[i] for i in order])])
+    files = [(tmp_path / name).read_bytes() for name in ("s.json", "t.csv", "r.csv")]
+    return y.tobytes(), repr(trace), order, files
+
+
+class TestDenseAffinity:
+    """The dense A computes the rows and products the solver reads, with
+    the bytes of the matrix it builds once they stop paying."""
+
+    @staticmethod
+    def backings(monkeypatch, share, build):
+        """``build()`` with the whole matrix built at the first read
+        (share 0) or never (share inf)."""
+        monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", share)
+        if share == np.inf:
+            monkeypatch.setattr(selector, "distance_matrix",
+                                lambda *a: pytest.fail("built the whole matrix"))
+        out = build()
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_backings_agree_on_the_acceptance_suites(self, monkeypatch, tmp_path, metric):
+        """The 100 small problems of acceptance 6, from every start, and the
+        10 at n = 500 of acceptance 7, with feature rows in place of a
+        random A: the same bytes whichever backing serves A."""
+        cases = []
+        for s in range(100):
+            rng = np.random.default_rng(1000 + s)
+            n = int(rng.integers(4, 13))
+            k = int(rng.integers(2, min(5, n + 1)))
+            cases += [(rng, n, k, SolverConfig(init=init)) for init in INITS]
+        for s in range(10):
+            rng = np.random.default_rng(500 + s)
+            cfg = SolverConfig(init=INITS[s % 3], step_rule=("derived", "paper")[s % 2])
+            cases.append((rng, 500, int(rng.integers(10, 101)), cfg))
+        for rng, n, k, cfg in cases:
+            m = random_matrix(rng, n, 8)
+            hub, lid = hub_lid_profiles(rng.integers(0, 10, n), rng.uniform(1.0, 9.0, n))
+
+            def run():
+                return _solved_bytes(build_problem(hub, lid, m, metric, k), cfg, tmp_path)
+
+            built = self.backings(monkeypatch, 0.0, run)
+            assert self.backings(monkeypatch, np.inf, run) == built, (n, k, cfg)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_rows_and_products_are_those_of_the_matrix(self, metric):
+        rng = np.random.default_rng(44)
+        n = 150  # three product blocks, the last one partial
+        m = random_matrix(rng, n, 6)
+        hub, lid = hub_lid_profiles(rng.integers(0, 10, n), rng.uniform(1.0, 9.0, n))
+        built = build_problem(hub, lid, m, metric, 2).a
+        whole = np.asarray(built)
+        a = build_problem(hub, lid, m, metric, 2).a
+        assert a.nbytes == 0
+        narrow = np.zeros(n)
+        narrow[rng.choice(n, n // 4, replace=False)] = rng.uniform(size=n // 4)
+        for y in (narrow, (narrow > 0.5) * 1.0, np.zeros(n)):
+            assert (a @ y).tobytes() == (built @ y).tobytes()
+        assert a.nbytes == 0
+        for i in range(n // 4):  # a row is computed on its first read, and kept
+            assert a.row(i).tobytes() == whole[i].tobytes()
+            assert a.nbytes == (i + 1) * n * 8
+        a.row(n // 4)  # one more row passes n / 4: the matrix is built
+        assert a.nbytes == whole.nbytes
+        assert np.asarray(a).tobytes() == whole.tobytes()
+        assert all(a.row(i).tobytes() == whole[i].tobytes() for i in range(n))
+
+        wide = build_problem(hub, lid, m, metric, 2).a
+        y = np.full(n, 2 / n)  # a support past n / 4 builds the matrix too
+        assert (wide @ y).tobytes() == (built @ y).tobytes()
+        assert wide.nbytes == whole.nbytes
+
+    def test_products_of_a_small_collection_are_one_product(self):
+        """Up to one block of rows, a product is the product with the matrix."""
+        rng = np.random.default_rng(45)
+        n = selector._PRODUCT_ROWS
+        m = random_matrix(rng, n, 6)
+        hub, lid = hub_lid_profiles(rng.integers(0, 10, n), rng.uniform(1.0, 9.0, n))
+        a = build_problem(hub, lid, m, "cosine", 2).a
+        whole = np.asarray(build_problem(hub, lid, m, "cosine", 2).a)
+        y = np.zeros(n)
+        y[[3, 17, 40]] = [1.0, 0.25, 0.75]
+        assert (a @ y).tobytes() == (whole @ y).tobytes()
+        assert a.nbytes == 0
+
+    def test_distances_beyond_the_float64_maximum_raise_at_build(self):
+        hub, lid = hub_lid_profiles([1, 2, 3, 4, 5, 6], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        values = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0], [3.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
+        over, near = values.copy(), values.copy()
+        over[:2] = [[1.5e308, 0.0], [-1.5e308, 0.0]]  # 3e308 apart
+        near[:2] = [[1e307, 0.0], [-1e307, 0.0]]  # 2e307 apart: bounded, nothing built
+        ids = [f"f{i}" for i in range(6)]
+        with pytest.raises(ValueError, match="exceeds the float64 maximum"):
+            build_problem(hub, lid, FeatureMatrix(ids, over), "euclidean", 2)
+        assert build_problem(hub, lid, FeatureMatrix(ids, near), "euclidean", 2).a.nbytes == 0
+
+    def test_product_of_another_length_raises(self):
+        hub, lid = hub_lid_profiles([1, 2, 3], [1.0, 2.0, 3.0])
+        a = build_problem(hub, lid, random_matrix(np.random.default_rng(46), 3, 2), "cosine", 2).a
+        for y in (np.ones(2), np.ones(4), np.ones((3, 1))):
             with pytest.raises(ValueError, match="cannot multiply"):
                 a @ y
 
