@@ -189,7 +189,9 @@ _KERNELS_LOCK = threading.Lock()
 
 def _extension(name: str, package: str = "spatial"):
     """The compiled module ``scipy.<package>.<name>`` loaded on its own,
-    without its package, or the one already loaded under that name."""
+    without its package, or the one already loaded under that name; where
+    the standalone load finds no module, the one imported through its
+    package, or ``ImportError``."""
     fullname = f"scipy.{package}.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
@@ -202,7 +204,7 @@ def _extension(name: str, package: str = "spatial"):
     )
     spec = finder.find_spec(fullname)
     if spec is None:
-        raise ImportError(f"no {fullname}")
+        return importlib.import_module(fullname)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # a multi-phase module gets its functions here
     return module

@@ -37,12 +37,15 @@ TOLERANCE = 1e-9  # y this close to 0 or 1 is at the box; a reward gap this smal
 _ON_DEMAND_SHARE = 0.25
 
 # Rows per block of a dense affinity's product. Both of its backings
-# multiply the same row blocks, so their products agree on any BLAS. Up
-# to this many rows a block is the one product with the whole matrix.
-# OpenBLAS takes rows in fours and splits a product's rows evenly over its
-# threads, so where each thread's share is a multiple of 4 (n = 5000 on
-# one or two threads) blocks of a multiple of 8 rows give that product's
-# bytes too.
+# multiply the same row blocks, so their products agree on any BLAS at
+# one BLAS thread count. Up to this many rows a block is the one product
+# with the whole matrix. OpenBLAS takes rows in fours and splits a
+# product's rows evenly over its threads, so where each thread's share is
+# a multiple of 4 (n = 5000 on one or two threads) blocks of a multiple
+# of 8 rows give that product's bytes too. Across BLAS thread counts no
+# bytes are promised: OpenBLAS 0.3.31 can split a share inside a group of
+# four rows, and at n = 5003, 2 of 5,003 entries of A @ y differed between
+# one and two threads.
 _PRODUCT_ROWS = 64
 
 
@@ -56,14 +59,16 @@ class SelectionProblem:
         Hubness term, min-max normalized to [0, 1].
     d_risk : ndarray (n,)
         Risk term, min-max normalized to [0, 1].
-    a : DenseAffinity, CsrAffinity or ndarray, (n, n)
-        Symmetric, non-negative, zero diagonal. Dense mode: a
-        :class:`DenseAffinity` of every pairwise distance, which computes
+    a : (n, n) affinity
+        Symmetric, non-negative, zero diagonal. The solver reads it only
+        as ``a[i]``, row i as a float64 vector, and ``a @ y``, and takes
+        an ``nnz`` of 0 as an A with no entry. An ndarray,
+        :class:`DenseAffinity` and :class:`CsrAffinity` meet this. Dense
+        mode: a DenseAffinity of every pairwise distance, which computes
         the rows and products the solver reads, or the whole matrix once
-        they stop paying. knn_sparse mode: a :class:`CsrAffinity` of the
-        kNN edge distances, the larger of (i, j) and (j, i), zero off the
-        edges. A linear problem: a CsrAffinity with no entry. An ndarray
-        assigned here serves as it is.
+        they stop paying. knn_sparse mode: a CsrAffinity of the kNN edge
+        distances, the larger of (i, j) and (j, i), zero off the edges. A
+        linear problem: a CsrAffinity with no entry.
     k : int
         Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
@@ -106,24 +111,15 @@ class SolverTrace:
     y_max: float = 0.0
 
 
-def _sparsetools():
-    """scipy's compiled CSR functions, ``scipy.sparse._sparsetools``, loaded
-    on their own, which skips the 0.22-0.28 s ``scipy.sparse`` import, or
-    through the package where that load fails."""
-    try:
-        return _extension("_sparsetools", "sparse")
-    except ImportError:
-        from scipy.sparse import _sparsetools
-
-        return _sparsetools
-
-
 @dataclass(eq=False)
 class CsrAffinity:
     """A sparse (n, n) affinity in compressed sparse row form: row i holds
     the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
     ``indices[indptr[i]:indptr[i + 1]]``, as scipy's CSR matrices hold
-    them. ``a @ y`` is scipy's own CSR product, with its bytes."""
+    them. ``a @ y`` is scipy's own CSR product, with its bytes, from
+    ``scipy.sparse._sparsetools`` loaded by :func:`_extension`: on its own,
+    which skips the 0.22-0.28 s ``scipy.sparse`` import, or through the
+    package where that load finds no module."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -134,9 +130,8 @@ class CsrAffinity:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i as a dense vector. Reads only the CSR arrays, so it also
-        serves scipy's CSR matrices."""
+    def __getitem__(self, i: int) -> np.ndarray:
+        """Row i as a dense vector."""
         row = np.zeros(self.shape[1])
         lo, hi = self.indptr[i], self.indptr[i + 1]
         row[self.indices[lo:hi]] = self.data[lo:hi]
@@ -145,7 +140,8 @@ class CsrAffinity:
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         y = _checked_vector(self, y)  # the compiled product reads n entries unchecked
         out = np.zeros(self.shape[0], dtype=np.float64)
-        _sparsetools().csr_matvec(*self.shape, self.indptr, self.indices, self.data, y, out)
+        tools = _extension("_sparsetools", "sparse")
+        tools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, y, out)
         return out
 
 
@@ -160,7 +156,7 @@ class DenseAffinity:
     """Every pairwise distance between the rows of ``values``, as an
     (n, n) affinity with a zero diagonal, computed as it is read.
 
-    ``row(i)`` computes one row and keeps it; ``a @ y`` computes only the
+    ``a[i]`` computes row i and keeps it; ``a @ y`` computes only the
     columns of A at the support S of y, since every other column meets a
     zero of y. Each distance is the one :func:`distance_matrix` gives the
     pair, whatever the rows computed with it, so on-demand rows equal the
@@ -214,7 +210,7 @@ class DenseAffinity:
             a = a.astype(dtype, copy=False)
         return a.copy() if copy else a
 
-    def row(self, i: int) -> np.ndarray:
+    def __getitem__(self, i: int) -> np.ndarray:
         """Row i, computed on its first read, or a row of the matrix."""
         row = self._rows.get(i)
         if row is None:
@@ -255,7 +251,7 @@ def _knn_affinity(graph: NeighborGraph) -> CsrAffinity:
     larger of the two edge distances, and zero distances hold no entry.
     These are the arrays scipy gives ``mat.maximum(mat.T)`` for the CSR
     matrix ``mat`` of the graph, computed by the same compiled functions."""
-    tools = _sparsetools()
+    tools = _extension("_sparsetools", "sparse")
     n, width = graph.indices.shape
     nnz = n * width
     # scipy's index type: 32 bits while the larger result fits them
@@ -350,16 +346,6 @@ def build_problem(
             raise ValueError(f"graph covers {graph.n} fragments, expected {n}")
         a = _knn_affinity(graph)
     return SelectionProblem(h=h, d_risk=d_risk, a=a, k=k)
-
-
-def _row(a, i: int) -> np.ndarray:
-    """Row i of A as a dense vector; the one place that tells the storages
-    apart: an ndarray, a DenseAffinity, or any CSR matrix."""
-    if isinstance(a, np.ndarray):
-        return a[i]
-    if isinstance(a, DenseAffinity):
-        return a.row(i)
-    return CsrAffinity.row(a, i)
 
 
 def _pair_divisor(k: int) -> int:
@@ -507,7 +493,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         cap_j, cap_i = float(y[j]), 1.0 - float(y[i])
         box = min(cap_j, cap_i)
         if paired:
-            row_i, row_j = _row(p.a, i), _row(p.a, j)
+            row_i, row_j = p.a[i], p.a[j]
             sigma = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
         else:
             sigma = 0.0

@@ -343,21 +343,28 @@ def test_criterion_10_determinism(tmp_path_factory, monkeypatch):
     assert cli.main(["analyze", str(feat), "--out", str(d), "--threads", "1"]) == 0
     assert {nm: (d / nm).read_bytes() for nm in names} == analyze["t1"]
 
-    solutions = []
+    # a hub-first select computes the rows it reads; a uniform one reads
+    # past n / 4 of them and builds the whole matrix on a pool of _workers()
+    solutions = {"hub-first": [], "uniform": []}
     for tag, threads, workers in (("t1", 1, 1), ("t8", 8, 3), ("t1-rerun", 1, 2)):
-        monkeypatch.setattr(neighbors, "_workers", lambda workers=workers: workers)
-        out = root / f"solution_{tag}.json"
-        trc = root / f"trace_{tag}.csv"
-        args = [
-            "select", str(feat), "--k", "10", "--out", str(out),
-            "--trace", str(trc), "--threads", str(threads),
-        ]
-        assert cli.main(args) == 0
-        solutions.append(out.read_bytes() + trc.read_bytes())
-    assert solutions[0] == solutions[1] == solutions[2]
+        pools = []
+        monkeypatch.setattr(neighbors, "_workers", lambda w=workers: pools.append(w) or w)
+        for init, runs in solutions.items():
+            out = root / f"solution_{init}_{tag}.json"
+            trc = root / f"trace_{init}_{tag}.csv"
+            args = [
+                "select", str(feat), "--k", "10", "--init", init, "--out", str(out),
+                "--trace", str(trc), "--threads", str(threads),
+            ]
+            assert cli.main(args) == 0
+            runs.append(out.read_bytes() + trc.read_bytes())
+        assert pools == [workers]  # the one dense pass, of the uniform select
+    for runs in solutions.values():
+        assert runs[0] == runs[1] == runs[2]
     elapsed = time.perf_counter() - t0
     print(
-        f"ACCEPTANCE 10: PASS - analyze and select outputs byte-identical "
-        f"across reruns at threads 1 and 8 and dense-affinity workers 1, 2 and 3, "
+        f"ACCEPTANCE 10: PASS - analyze and hub-first and uniform select outputs "
+        f"byte-identical across reruns at threads 1 and 8 and dense-affinity "
+        f"workers 1, 2 and 3, "
         f"{elapsed:.1f}s"
     )

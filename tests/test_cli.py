@@ -692,7 +692,9 @@ class TestSelect:
                 monkeypatch.setattr(selector, "build_problem", zero_dense)
             else:
                 monkeypatch.setattr(selector, "build_problem", build)
-                monkeypatch.setattr(selector, "_row", lambda a, i: pytest.fail("built a row"))
+                monkeypatch.setattr(
+                    selector.CsrAffinity, "__getitem__", lambda a, i: pytest.fail("built a row")
+                )
             out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
             assert cli.main(args + ["--out", str(out), "--trace", str(trace)]) == 0
             written.append((out.read_bytes(), trace.read_bytes()))

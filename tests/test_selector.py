@@ -1,3 +1,6 @@
+import importlib.machinery
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -32,6 +35,11 @@ def two_point_problem():
     return SelectionProblem(
         h=np.array([1.0, 2.0]), d_risk=np.array([0.0, 1.0]), a=a, k=2
     )
+
+
+def csr_affinity(mat):
+    """The CsrAffinity of a scipy CSR matrix's arrays."""
+    return selector.CsrAffinity(mat.indptr, mat.indices, mat.data, mat.shape)
 
 
 def hub_lid_profiles(scores, lids, degenerate=None):
@@ -167,18 +175,27 @@ class TestCsrAffinity:
             assert (g.distances == 0.0).any() and (a.data > 0.0).all()
 
     def test_package_import_gives_the_same_bytes(self, monkeypatch):
-        """Where the standalone load fails, scipy.sparse's own module serves."""
+        """Where the standalone load finds no module, scipy.sparse's own
+        module serves."""
         asked = []
 
-        def no_extension(name, package="spatial"):
-            asked.append(f"scipy.{package}.{name}")
-            raise ImportError(f"no {asked[-1]}")
+        class Miss:
+            def __init__(self, path, *loaders):
+                pass
+
+            def find_spec(self, fullname):
+                asked.append(fullname)
+                return None
 
         rng = np.random.default_rng(42)
         g = knn_graph(random_matrix(rng, 50, 4), 5, "euclidean")
-        monkeypatch.setattr(selector, "_extension", no_extension)
+        monkeypatch.setattr(importlib.machinery, "FileFinder", Miss)
+        # imported again through the package; both names get their module back
+        monkeypatch.setattr(sparse, "_sparsetools", sparse._sparsetools)
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
         self.assert_same(selector._knn_affinity(g), self.scipy_affinity(g), rng)
-        assert set(asked) == {"scipy.sparse._sparsetools"}
+        assert asked == ["scipy.sparse._sparsetools"]
+        assert "scipy.sparse._sparsetools" in sys.modules
 
     def test_product_of_another_length_raises(self):
         g = knn_graph(random_matrix(np.random.default_rng(43), 9, 3), 2, "euclidean")
@@ -261,12 +278,12 @@ class TestDenseAffinity:
             assert (a @ y).tobytes() == (built @ y).tobytes()
         assert a.nbytes == 0
         for i in range(n // 4):  # a row is computed on its first read, and kept
-            assert a.row(i).tobytes() == whole[i].tobytes()
+            assert a[i].tobytes() == whole[i].tobytes()
             assert a.nbytes == (i + 1) * n * 8
-        a.row(n // 4)  # one more row passes n / 4: the matrix is built
+        a[n // 4]  # one more row passes n / 4: the matrix is built
         assert a.nbytes == whole.nbytes
         assert np.asarray(a).tobytes() == whole.tobytes()
-        assert all(a.row(i).tobytes() == whole[i].tobytes() for i in range(n))
+        assert all(a[i].tobytes() == whole[i].tobytes() for i in range(n))
 
         wide = build_problem(hub, lid, m, metric, 2).a
         y = np.full(n, 2 / n)  # a support past n / 4 builds the matrix too
@@ -490,13 +507,41 @@ class TestSolve:
             k = int(rng.choice([2, 4]))
             h, d = rng.uniform(size=n), rng.uniform(size=n)
             dense = SelectionProblem(h=h, d_risk=d, a=a, k=k)
-            csr = SelectionProblem(h=h, d_risk=d, a=sparse.csr_matrix(a), k=k)
+            csr = SelectionProblem(h=h, d_risk=d, a=csr_affinity(sparse.csr_matrix(a)), k=k)
             cfg = SolverConfig(init=init, step_rule=step_rule)
             (y1, t1), (y2, t2) = solve(dense, cfg), solve(csr, cfg)
             assert np.array_equal(y1, y2)
             assert t1.updates == t2.updates
             assert t1.objective_per_iteration == t2.objective_per_iteration
             assert objective(dense, y1) == pytest.approx(objective(csr, y2), abs=1e-12)
+
+    @pytest.mark.parametrize("step_rule", ["derived", "paper"])
+    @pytest.mark.parametrize("init", ["hub_first", "lid_first", "uniform"])
+    def test_rows_and_products_are_all_the_solver_reads(self, step_rule, init):
+        """An affinity with only ``shape``, ``a[i]`` and ``a @ y`` solves as
+        the ndarray it wraps, byte for byte."""
+
+        class RowsAndProducts:
+            __slots__ = ("shape", "_a")
+
+            def __init__(self, a):
+                self.shape, self._a = a.shape, a
+
+            def __getitem__(self, i):
+                return self._a[i]
+
+            def __matmul__(self, y):
+                return self._a @ y
+
+        rng = np.random.default_rng(30)
+        cfg = SolverConfig(init=init, step_rule=step_rule)
+        for _ in range(10):
+            p = random_selection_problem(rng)
+            q = SelectionProblem(h=p.h, d_risk=p.d_risk, a=RowsAndProducts(p.a), k=p.k)
+            (y1, t1), (y2, t2) = solve(p, cfg), solve(q, cfg)
+            assert y1.tobytes() == y2.tobytes()
+            assert repr(t1) == repr(t2)
+            assert selector.ranking_order(y1, p) == selector.ranking_order(y2, q)
 
     @pytest.mark.parametrize("init", ["hub_first", "lid_first", "uniform"])
     def test_trace_extremes_match_full_scan_replay(self, init):
@@ -618,9 +663,9 @@ class TestSerialization:
         for kind in ("dense", "csr", "linear k=1"):
             p = random_selection_problem(np.random.default_rng(26), n=6, k=2)
             if kind == "csr":
-                p.a = sparse.csr_matrix(p.a)
+                p.a = csr_affinity(sparse.csr_matrix(p.a))
             elif kind == "linear k=1":
-                p.a, p.k = sparse.csr_matrix((6, 6)), 1
+                p.a, p.k = csr_affinity(sparse.csr_matrix((6, 6))), 1
             y, trace = solve(p, SolverConfig(init="hub_first"))
             out = tmp_path / "solution.json"
             selected = save_solution(out, ids, p, y, trace, init_label="hub-first")
