@@ -65,19 +65,21 @@ def _feature_key(path) -> tuple[str, str]:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest(), fmt
 
 
-def _inputs(args, digest: str, fmt: str, directory: Path, ids=None):
+def _inputs(args, digest: str, fmt: str, directory: Path, ids=None, graph=True):
     """``(path, matrix, graph, members)`` of a command on the feature bytes
     keyed ``digest`` and ``fmt``: the path of their analyze archive under
     ``args.metric`` in ``directory``, and what it holds when it is keyed on
     this SHA-256, format and metric, holds float64 values that
     ``FeatureMatrix`` accepts and, given ``ids``, these ids. Any other
     archive is a miss, which parses ``args.features`` and returns no graph
-    and no members. A graph narrower than the command's width is None."""
+    and no members. A graph narrower than the command's width is None, and
+    so is the graph of a caller that reads none (``graph`` false): its
+    arrays are then neither read nor checked."""
     path = directory / f"graph_{digest[:12]}_{args.metric}.npz"
     m = None
     if path.exists():
         try:
-            archived, g, stored = neighbors.load_graph(path, _CACHE_MEMBERS)
+            archived, g, stored = neighbors.load_graph(path, _CACHE_MEMBERS, graph)
             key = (stored["sha256"].tolist(), stored["format"].tolist(), g.metric)
             if key == (digest, fmt, args.metric) and stored["values"].dtype == np.float64:
                 m = features.FeatureMatrix(archived, np.ascontiguousarray(stored["values"]))
@@ -157,10 +159,12 @@ def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=Non
     affinity = _AFFINITY_NAMES.get(affinity_name)
     if affinity is None:
         raise ValueError(f"unknown affinity mode '{affinity_name}'")
+    sparse = affinity == "knn_sparse" and not linear  # the only affinity read from a graph
     if args.profiles:
         digest, fmt = _feature_key(args.features)
         profile = stats.load_profile_csv(args.profiles)
-        _, m, graph, _ = _inputs(args, digest, fmt, Path(args.profiles).parent, profile.ids)
+        _, m, graph, _ = _inputs(args, digest, fmt, Path(args.profiles).parent, profile.ids,
+                                 sparse)
         if profile.ids != m.ids:
             raise ValueError(f"profile ids do not match feature ids ({args.profiles})")
         hub, lid = profile.hubness, profile.lid
@@ -168,7 +172,7 @@ def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=Non
         m = features.load_features(args.features)
         graph = _build_graph(m, args)
         hub, lid = stats.hubness_and_lid(graph, args.k_hub, args.n_lid)
-    if affinity == "knn_sparse" and not linear:
+    if sparse:
         if graph is None:
             graph = _build_graph(m, args)
         graph = graph.truncated(_checked_graph_k(args))  # the first columns of a wider exact graph

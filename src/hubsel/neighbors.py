@@ -1,13 +1,15 @@
 """Exact k-nearest-neighbor graphs under cosine or Euclidean distance.
 
 Graphs are built by a blocked brute-force scan, O(n^2 d) work, with no
-approximation in the result. Each block ranks all pairs with one matrix
-product, keeps a shortlist that provably holds every exact neighbor, and
-ranks the shortlist by distances recomputed exactly as
-:func:`distance_matrix` computes them. Neighbor lists exclude the query
-itself, are sorted by ascending distance, and break ties by the smaller
-fragment index, so results are reproducible bit for bit across runs
-and block splits.
+approximation in the result. Each block ranks all pairs with one float32
+matrix product, keeps a shortlist that provably holds every exact
+neighbor (each pair's margin covers float32's unit roundoff u = 2^-24
+relative to its own rows' norms, and the absolute error of float32
+underflow), and ranks the shortlist by float64 distances recomputed
+exactly as :func:`distance_matrix` computes them. Neighbor lists
+exclude the query itself, are sorted by ascending distance, and break
+ties by the smaller fragment index, so results are reproducible bit for
+bit across runs and block splits.
 
 Every norm and distance goes through one power-of-two range rule: rows
 whose squares would overflow or underflow are scaled into range by
@@ -34,9 +36,9 @@ from hubsel import table
 
 METRICS = ("cosine", "euclidean")
 
-# Rows per scan block, sized so one block of approximate distances stays
-# around 32 MB: two are live, one reranked while the next is computed,
-# around 64 MB together. Results do not depend on the split.
+# Rows per scan block, sized so one block of float32 approximate distances
+# stays around 16 MB: two are live, one reranked while the next is
+# computed, around 32 MB together. Results do not depend on the split.
 _BLOCK_ENTRIES = 4_000_000
 
 # Rows per block of a self distance matrix, sized so one block of the
@@ -45,6 +47,17 @@ _BLOCK_ENTRIES = 4_000_000
 _SELF_BLOCK_ENTRIES = 1 << 17
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_F32 = np.finfo(np.float32)
+_F32_SMALLEST = math.sqrt(float(_F32.tiny))  # 2^-63
+
+
+def _float32_ceil(t: float) -> np.float32:
+    """The smallest float32 at or above ``t``: a float32 is at most ``t``
+    exactly when it is at most this."""
+    if t > float(_F32.max):
+        return np.float32(np.inf)
+    c = np.float32(t)
+    return c if float(c) >= t else np.nextafter(c, np.float32(np.inf))
 
 # Largest row magnitudes in [_SMALLEST, _largest(d)] need no rescaling:
 # their squares are normal floats, and a d-term sum of squared
@@ -338,7 +351,8 @@ class NeighborGraph:
     Attributes
     ----------
     k : int
-        Neighbors per list, min(requested k, n - 1).
+        Neighbors per list, min(requested k, n - 1); 0 in the metric-only
+        graph of ``load_graph(..., graph=False)``.
     metric : str
         Distance used to build the graph, 'cosine' or 'euclidean'.
     indices : ndarray of shape (n, k), int64
@@ -371,9 +385,11 @@ class NeighborGraph:
 
 def _approximate(Y: np.ndarray, sq: np.ndarray | None, s: int, e: int, out) -> np.ndarray:
     """Rows s:e of the values :func:`knn_graph` shortlists by, from one
-    matrix product into the first e - s rows of ``out``: 1 - y_i.y_j on
-    unit rows (``sq`` None), else sq_i + sq_j - 2 y_i.y_j with ``sq`` the
-    squared row norms. Each row's own entry is +inf, so the query drops
+    matrix product into the first e - s rows of ``out``, all in the dtype
+    of ``Y``, ``sq`` and ``out`` (float32 in the scan): 1 - y_i.y_j on unit
+    rows (``sq`` None), else sq_i + sq_j - 2 y_i.y_j with ``sq`` the
+    squared row norms, lowered by the scan's error bound. Each row's own
+    entry is +inf, so the query drops
     out of its own list."""
     approx = np.matmul(Y[s:e], Y.T, out=out[: e - s])
     if sq is None:
@@ -389,24 +405,30 @@ def _approximate(Y: np.ndarray, sq: np.ndarray | None, s: int, e: int, out) -> n
 def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     """Build the exact kNN graph of a feature matrix.
 
-    Each block of query rows is ranked against all rows with one matrix
-    product: 1 - x.y on unit-norm rows (cosine), or the squared distance
-    expanded as |x|^2 + |y|^2 - 2 x.y (euclidean). A row's shortlist is
-    every j whose approximate value is at most the k-th smallest one plus
-    2 b_i, where b_i bounds the error of the approximation against the
-    exact distance (squared, for euclidean) in row i, with u the unit
-    roundoff and gamma_m = m u / (1 - m u):
-    b_i = gamma_{8d+32} c^2 + 2 g c, c = |x_i| + max_j |x_j|, for euclidean
-    (g below) and gamma_{8d+32} for cosine. The shortlist therefore holds
-    every exact neighbor and every tie at the k-th distance; its distances
-    are then recomputed in true units as :func:`distance_matrix` computes
-    them and sorted by (distance, index).
+    Each block of query rows is ranked against all rows with one float32
+    matrix product: 1 - x.y on unit-norm rows (cosine), or the squared
+    distance expanded as |x|^2 + |y|^2 - 2 x.y on the rows less their
+    column means (euclidean), with each squared norm lowered by a small
+    relative term so that the value is a lower bound, up to an absolute
+    term, of the exact squared distance. A row's shortlist is every j
+    whose value is at most an upper bound on the exact k-th distance
+    (squared, for euclidean), taken from its k smallest values plus their
+    pair's error bound: a pair's bound grows with the two rows' norms
+    only, so a row of large norm widens its own shortlist and no other.
+    The bounds cover float64's unit roundoff u = 2^-53 in the exact
+    values, float32's u = 2^-24 and float32 underflow in the product.
+    The shortlist therefore holds every exact neighbor and every tie at
+    the k-th distance; its distances are then recomputed in float64 and
+    true units as :func:`distance_matrix` computes them and sorted by
+    (distance, index), so the graph's bytes are those of a full sort of
+    the exact distances.
 
     Query rows are taken in blocks. One worker thread computes the next
     block's product while the calling thread reranks the current one, so
     the product, which releases the interpreter lock, overlaps the rerank,
     which holds it; the bytes do not depend on the split, and no thread
-    outlives the call.
+    outlives the call. The scan holds two blocks of float32 values, rows x
+    n each, and a float32 copy of the rows.
 
     Parameters
     ----------
@@ -432,37 +454,78 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
 
     # Why the shortlist is exact. Let A_ij be the value row i is ranked
     # by: the distance pairs reports, in true units, taken in the units of
-    # X (euclidean: X is the rows times 2^-top) and squared for euclidean,
-    # an order-preserving map that keeps ties; and P_ij the product-based
-    # approximation, with |P_ij - A_ij| <= b_i for all j.
-    # The k smallest P in row i, p_(k) being the largest of them, have
-    # A <= p_(k) + b_i, so the exact k-th value A_(k) <= p_(k) + b_i; a
-    # j with A_ij <= A_(k) then has P_ij <= A_ij + b_i <= p_(k) + 2 b_i.
-    # With u the unit roundoff and gamma_m = m u / (1 - m u), the budget
-    # b_i = gamma_{8d+32}, times (|x_i| + max_j |x_j|)^2 for euclidean
-    # (which bounds every (|x_i| + |x_j|)^2 and so every squared
-    # distance), covers with room to spare: the product pass with its
-    # norms and additions (gamma_{3d+6} for cosine, gamma_{d+2} for
-    # euclidean); the cdist pass (gamma_{4d+6}; gamma_{d+4} on the
-    # squared value); underflow, below 6d u tiny in all (tiny the smallest
-    # normal float), which the rest of the budget covers since after
-    # _in_range (|x_i| + max_j |x_j|)^2 >= tiny (cosine: unit rows); and
-    # the few roundings of b_i and of the threshold themselves. A pair
-    # computed under a factor of its own only comes nearer the exact value.
-    # In true units a euclidean distance is rounded to a multiple of
-    # 2^-1074, g = 2^(-1074-top) in the units of X, which moves A_ij by at
-    # most g c + g^2 / 4 <= 2 g c, c = |x_i| + max_j |x_j| (g <= 1/2 <= c
-    # for top < 0, g <= 2^-1074 else); b_i holds that term too.
+    # the scan's rows (euclidean: the rows times 2^-(top+shift), shift
+    # below) and squared for euclidean, an order-preserving map that keeps
+    # ties; and L_ij the float32 value of the scan, with, for all j,
+    #   L_ij - a_i <= A_ij <= L_ij + w_i + w_j + a_i.
+    # Any k columns bound the k-th smallest A in row i: A_(k) <= t_i, the
+    # largest L_ij + w_j over the k smallest L_ij, plus w_i + a_i. So a j
+    # with A_ij <= A_(k) has L_ij <= A_ij + a_i <= t_i + a_i, and the
+    # shortlist is every j with L_ij <= t_i + a_i. The scan first takes the
+    # k-th smallest L_ij plus max_j w_j for the largest term, a bound at
+    # least t_i; where that shortlist is long, a few rows of large norm set
+    # max_j w_j, and it is cut to t_i proper. Each bound is rounded up to a
+    # float32, so its comparison with the float32 row is exact under
+    # NumPy 1's value-based casting and NumPy 2's promotion alike.
+    #
+    # Let y be the float64 rows the product starts from: unit rows for
+    # cosine; for euclidean X less its column means, scaled by 2^-shift
+    # (below). Subtracting the means leaves every distance as it is, and
+    # the rounding of a subtraction is relative to its result (exact where
+    # that is subnormal), so it moves a squared distance by at most
+    # 3u (|y_i| + |y_j|)^2. Let Q_ij be the exact value on y of 1 - y_i.y_j,
+    # or of |y_i|^2 + |y_j|^2 - 2 y_i.y_j, and C_ij = 1 for cosine,
+    # (|y_i| + |y_j|)^2 <= 2 s_ij, s_ij = |y_i|^2 + |y_j|^2, for euclidean.
+    # |Q_ij - A_ij| <= gamma_{8d+32} C_ij at u = 2^-53 with
+    # gamma_m = m u / (1 - m u), plus for euclidean 2 g c_i + g^2. That
+    # covers with room to spare: the norms of the unit rows (gamma_{3d+6});
+    # the centering; the cdist pass (gamma_{4d+6}; gamma_{d+4} on the
+    # squared value); the float64 roundings of the norms, of w and of t_i;
+    # and, in true units, a euclidean distance rounded to a multiple of
+    # 2^-1074, g = 2^(-1074-top-shift) in the units of y, which moves A_ij
+    # by at most 2 g c_i + g^2, c_i = |y_i| + max_j |y_j|. A pair computed
+    # under a factor of its own only comes nearer the exact value.
+    # The float32 value P_ij of the same expression has
+    # |P_ij - Q_ij| <= theta_{2d+32} C_ij + (8d + 8) T at u = 2^-24, with
+    # theta_m = (1 + u)^m - 1 (m roundings; at most gamma_m where m u < 1,
+    # finite for every d) and T = 2^-126 float32's smallest normal. It
+    # covers, with room for the roundings of the lowered norms below:
+    # - the rounding of y to float32, u |y| + T per entry;
+    # - the float32 GEMM, theta_d times the product of the row norms, and
+    #   T for each of its 2d operations that underflows, even where
+    #   subnormals are flushed to zero; T also covers float64 underflow,
+    #   below 6d u 2^-1022 in all;
+    # - the squared norms rounded to float32 (euclidean) and the transform,
+    #   one or two float32 operations, u each on values below 2 C_ij.
+    # Summed this is under (d + 9) u C_ij + (7d + 6) T, second-order terms
+    # aside. So with b = gamma_{8d+32} + theta_{2d+32}, |P_ij - A_ij| is
+    # at most b C_ij + a_i, a_i = (8d + 8) T + 2 g c_i + g^2. Cosine takes
+    # L = P, w = 0 and b in a_i. Euclidean computes L_ij = P_ij - 2 b s_ij
+    # from norms lowered to (1 - 2b) |y|^2, and w = 4b |y|^2. A collection
+    # whose largest centered magnitude lies outside [2^-63, sqrt(F / 8d)],
+    # F float32's maximum, is scaled by the power of two 2^-shift that
+    # brings it into [0.5, 1), so every float32 square, sum and value stays
+    # finite; rows whose products underflow float32 get wide shortlists,
+    # exact all the same.
     mu = (8 * d + 32) * _UNIT_ROUNDOFF
-    b = mu / (1.0 - mu)
+    b = mu / (1.0 - mu) + math.expm1((2 * d + 32) * math.log1p(float(_F32.eps) / 2))
+    a = np.full(n, (8 * d + 8) * float(_F32.tiny))
     if metric == "cosine":
-        Y, sq = unit_rows(X), None
-        margin = np.full(n, 2.0 * b)
+        Y, sq = unit_rows(X).astype(np.float32), None
+        a += b
+        w = np.zeros(n)
     else:
-        Y = X
-        sq = np.einsum("ij,ij->i", X, X)
-        c = np.sqrt(sq) + math.sqrt(sq.max())
-        margin = 2.0 * b * c**2 + 4.0 * math.ldexp(1.0, -1074 - top) * c
+        Y = X - X.mean(axis=0)
+        peak, shift = float(np.abs(Y).max()), 0
+        if peak and not _F32_SMALLEST <= peak <= math.sqrt(float(_F32.max) / (8 * d)):
+            shift = math.frexp(peak)[1]
+            Y = np.ldexp(Y, -shift)
+        sq = np.einsum("ij,ij->i", Y, Y)
+        g = math.ldexp(1.0, -1074 - top - shift)
+        a += g * (2.0 * (np.sqrt(sq) + math.sqrt(sq.max())) + g)
+        w = 4.0 * b * sq
+        Y, sq = Y.astype(np.float32), ((1.0 - 2.0 * b) * sq).astype(np.float32)
+    w_max = float(w.max())
 
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
@@ -472,7 +535,7 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     block = min(max(1, _BLOCK_ENTRIES // n), n)
     # two block buffers, filled in turn and allocated once, so the two live
     # blocks never cost a third one's memory (one block leaves one untouched)
-    buffers = np.empty((2, block, n))
+    buffers = np.empty((2, block, n), dtype=np.float32)
     approx = _approximate(Y, sq, 0, block, buffers[0])
     # the worker fills the other buffer; a single block starts no thread,
     # and a failed product raises at its result
@@ -483,8 +546,12 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
                 _approximate, Y, sq, e, min(e + block, n), buffers[(e // block) % 2]
             )
             for i, row in zip(range(s, e), approx):
-                kth = np.partition(row, k_eff - 1)[k_eff - 1]
-                cand = np.flatnonzero(row <= kth + margin[i])
+                kth = float(np.partition(row, k_eff - 1)[k_eff - 1])
+                cand = np.flatnonzero(row <= _float32_ceil(kth + w_max + w[i] + 2.0 * a[i]))
+                if len(cand) > 2 * k_eff:  # a large w_j among the candidates: t_i proper
+                    near = np.argpartition(row, k_eff - 1)[:k_eff]
+                    bound = float((row[near] + w[near]).max()) + w[i] + 2.0 * a[i]
+                    cand = np.flatnonzero(row <= _float32_ceil(bound))
                 dist = pairs(slice(i, i + 1), cand)[0]
                 order = np.argsort(dist, kind="stable")[:k_eff]
                 indices[i] = cand[order]
@@ -539,10 +606,14 @@ _ARCHIVE_DAMAGE = (
 )
 
 
-def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np.ndarray]]:
+def load_graph(
+    path, members=(), graph: bool = True
+) -> tuple[list[str], NeighborGraph, dict[str, np.ndarray]]:
     """``(ids, graph, extra)`` from a ``.npz`` archive of :func:`save_graph`,
     read in one open: the ids in order, the graph under its stored metric,
-    and the arrays of the named ``members``, unchecked, by name.
+    and the arrays of the named ``members``, unchecked, by name. With
+    ``graph`` false, ``indices`` and ``distances`` are neither read nor
+    checked, and the graph holds the stored metric and no columns (k = 0).
 
     Any other suffix raises ``ValueError`` before the file is opened (the
     CSV export is not read back), and so does an archive that is damaged,
@@ -551,14 +622,14 @@ def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np
     """
     if not _is_npz(path):
         raise ValueError(f"{path}: not a .npz graph archive")
-    names = ("ids", "metric", "indices", "distances", *members)
+    names = ("ids", "metric", *(("indices", "distances") if graph else ()), *members)
     with open(path, "rb") as fh:  # a file that cannot be opened is an I/O error
         try:
             z = np.load(fh, allow_pickle=False)
             if not isinstance(z, np.lib.npyio.NpzFile):
                 raise ValueError("a single array")
             with z:
-                ids, metric, indices, distances, *extra = [z[name] for name in names]
+                ids, metric, *arrays = [z[name] for name in names]
         except _ARCHIVE_DAMAGE as exc:
             raise ValueError(f"{path}: not a readable graph archive ({exc!r})") from exc
     if ids.dtype.kind != "U" or ids.ndim != 1:
@@ -567,18 +638,22 @@ def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np
     if metric not in METRICS:
         raise ValueError(f"{path}: unknown metric {metric!r}, expected one of {METRICS}")
     n = len(ids)
-    if indices.dtype != np.int64 or distances.dtype != np.float64:
-        raise ValueError(
-            f"{path}: dtypes {indices.dtype}, {distances.dtype}, expected int64, float64"
-        )
-    shape_ok = indices.ndim == 2 and indices.shape[0] == n and indices.shape[1] >= 1
-    if not shape_ok or distances.shape != indices.shape:
-        raise ValueError(
-            f"{path}: shapes {indices.shape}, {distances.shape}, expected ({n}, k), k >= 1"
-        )
+    if graph:
+        indices, distances, *arrays = arrays
+        if indices.dtype != np.int64 or distances.dtype != np.float64:
+            raise ValueError(
+                f"{path}: dtypes {indices.dtype}, {distances.dtype}, expected int64, float64"
+            )
+        shape_ok = indices.ndim == 2 and indices.shape[0] == n and indices.shape[1] >= 1
+        if not shape_ok or distances.shape != indices.shape:
+            raise ValueError(
+                f"{path}: shapes {indices.shape}, {distances.shape}, expected ({n}, k), k >= 1"
+            )
+    else:  # the stored metric alone, in a graph of no columns
+        indices, distances = np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
     if n == 0:
         raise ValueError(f"{path}: no fragments")
-    if indices.min() < 0 or indices.max() >= n:
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise ValueError(f"{path}: neighbor index outside [0, {n})")
     g = NeighborGraph(
         k=indices.shape[1],
@@ -586,4 +661,4 @@ def load_graph(path, members=()) -> tuple[list[str], NeighborGraph, dict[str, np
         indices=np.ascontiguousarray(indices),
         distances=np.ascontiguousarray(distances),
     )
-    return ids.tolist(), g, dict(zip(members, extra))
+    return ids.tolist(), g, dict(zip(members, arrays))

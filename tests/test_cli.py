@@ -892,7 +892,7 @@ class TestProfilesReuseTheArchive:
     def parsed(self, monkeypatch, capsys, tmp_path, feat, profiles, *args):
         """The outputs of the same commands with no archive next to the profile."""
         alone = tmp_path / "alone"
-        alone.mkdir()
+        alone.mkdir(parents=True)
         (alone / "profile.csv").write_bytes(profiles.read_bytes())
         return self.run(monkeypatch, capsys, tmp_path, "parsed", feat,
                         alone / "profile.csv", *args)
@@ -903,6 +903,49 @@ class TestProfilesReuseTheArchive:
         load = features.load_features
         monkeypatch.setattr(features, "load_features", lambda path: calls.append(path) or load(path))
         return calls
+
+    @staticmethod
+    def count_members(monkeypatch):
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda z, name: read.append(name) or getitem(z, name))
+        return read
+
+    def test_dense_hit_reads_no_graph_member(self, tmp_path, monkeypatch, capsys):
+        """A dense A reads no graph: a dense select and a hub-first rank take
+        the matrix from the archive, open neither graph member and write
+        the bytes of a parse."""
+        feat, profiles, _ = self.analyze(tmp_path)
+        want = self.parsed(monkeypatch, capsys, tmp_path, feat, profiles)
+        read, calls = self.count_members(monkeypatch), self.count_parses(monkeypatch)
+        assert self.run(monkeypatch, capsys, tmp_path, "hit", feat, profiles) == want
+        assert calls == [] and "values" in read
+        assert not {"indices", "distances"} & set(read)
+
+    @pytest.mark.parametrize("damage", ["index out of range", "dtype", "shape"])
+    def test_damaged_graph_member_is_a_miss_for_knn_sparse_only(
+        self, tmp_path, monkeypatch, capsys, damage
+    ):
+        feat, profiles, cache = self.analyze(tmp_path)
+        want = {mode: self.parsed(monkeypatch, capsys, tmp_path / mode, feat, profiles, mode)
+                for mode in ("dense", "knn-sparse")}
+        with np.load(cache) as z:
+            arrays = dict(z)
+        if damage == "index out of range":
+            arrays["indices"][3, 1] = len(arrays["ids"])
+        elif damage == "dtype":
+            arrays["indices"] = arrays["indices"].astype(np.int32)
+        else:
+            arrays["distances"] = arrays["distances"][:, :-1]
+        np.savez(cache, **arrays)
+        calls = self.count_parses(monkeypatch)
+        for mode, parses in (("dense", []), ("knn-sparse", [str(feat)] * 2)):
+            (tmp_path / mode / "run").mkdir()
+            assert self.run(monkeypatch, capsys, tmp_path / mode / "run", "hit", feat,
+                            profiles, mode) == want[mode]
+            assert calls == parses
+            calls.clear()
 
     @pytest.mark.parametrize("archive", [True, False], ids=["archive", "no archive"])
     def test_other_ids_than_the_features_exit_1(self, tmp_path, capsys, archive):

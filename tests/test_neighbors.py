@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -371,6 +372,19 @@ class TestExactKernel:
         assert_exact_graph(values, 21, metric)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_near_ties_at_float32_resolution(self, metric):
+        # rows one float32 step apart in some coordinates, and duplicates:
+        # their distances lie below the float32 product's rounding, which
+        # a shortlist with float64's margin alone misses
+        rng = np.random.default_rng(40)
+        base = rng.normal(1.0, 1.0, (30, 16)).astype(np.float32)
+        rows = base[rng.integers(0, 30, 240)]
+        steps = rng.integers(-2, 3, rows.shape).astype(np.float32)
+        values = np.nextafter(rows, rows + steps).astype(np.float64)
+        for k in (3, 8, 20):
+            assert_exact_graph(values, k, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_full_width_and_two_rows(self, metric):
         values = np.random.default_rng(33).standard_normal((25, 3))
         assert_exact_graph(values, 24, metric)
@@ -408,6 +422,52 @@ class TestExactKernel:
             sys.setswitchinterval(interval)
         assert len(graphs) == 1
         assert_exact_graph(values, 12, metric)
+
+    @pytest.mark.parametrize("case", ["rows of 1000x the norm", "common offset of 1000"])
+    def test_euclidean_shortlists_stay_near_k(self, monkeypatch, case):
+        """A pair's error bound grows with its own rows' norms, taken about
+        the column means: neither a few rows of large norm nor an offset
+        shared by all rows widens the other rows' shortlists."""
+        n, d, k = 1000, 32, 10
+        values = np.random.default_rng(43).normal(1.0, 1.0, (n, d))
+        if case == "rows of 1000x the norm":
+            values[:3] *= 1000.0
+        else:
+            values += 1000.0
+        assert_exact_graph(values, k, "euclidean")
+        lengths = []
+        in_range = neighbors._in_range
+
+        def counted(*args):
+            xs, top, pairs = in_range(*args)
+            return xs, top, lambda rx, ry: lengths.append(len(ry)) or pairs(rx, ry)
+
+        monkeypatch.setattr(neighbors, "_in_range", counted)
+        knn_graph(_matrix(values), k, "euclidean")
+        assert len(lengths) == n and np.mean(lengths) < k + 1
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_scan_peak_allocation_is_two_float32_blocks(self, monkeypatch, metric):
+        """The scan's blocks are float32 and allocated once: its peak traced
+        allocation is two float32 blocks, the graph, one copy of the input
+        rows (centered, for euclidean) and 1 MB of slack (the float32 rows,
+        norms, bounds and one row's shortlist), below the third block of
+        one buffer per product or the second one of float64 buffers (8 MB
+        each here)."""
+        n, d, k, rows = 2000, 16, 10, 500
+        monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", rows * n)  # 4 blocks
+        m = _matrix(np.random.default_rng(41).normal(1.0, 1.0, (n, d)))
+        knn_graph(m, k, metric)  # loads the kernels and the pool's module
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = knn_graph(m, k, metric)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        bound = 2 * rows * n * 4 + g.indices.nbytes + g.distances.nbytes + m.values.nbytes
+        assert peak <= bound + 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -611,6 +671,20 @@ class TestExtremeMagnitudes:
                 assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_rows_beyond_float32_range_keep_the_exact_graph(self, metric):
+        # the float32 product needs its own power of two beyond float32's
+        # range, and covers the rows whose squares or products underflow it
+        rng = np.random.default_rng(42)
+        values = rng.normal(1.0, 1.0, (60, 8))
+        mixed = values.copy()
+        mixed[::3] *= 1e-30  # squares below float32's smallest normal
+        lattice = np.ldexp(rng.integers(-8, 9, (40, 3)).astype(float), -66)
+        lattice[~lattice.any(axis=1)] = math.ldexp(1.0, -66)
+        for v in (*(values * s for s in (1e60, 1e-60, 1e200, 1e-200)), mixed, lattice):
+            for k in (1, 5, 12):
+                assert_exact_graph(v, k, metric)
 
     def test_subnormal_distances_keep_the_exact_graph(self, distance_paths):
         # true distances here are subnormal: ranked in scaled units, or
