@@ -14,10 +14,10 @@ deterministic for a fixed configuration and seed. ``--threads`` is
 accepted for compatibility and has no effect: the kNN scan computes each
 next block's product on one worker thread while it reranks the current
 block, and the whole dense affinity matrix, which select and rank build
-only once a solve reads more of it than a quarter of its rows or
-columns (the uniform start does), runs on one thread per CPU in the
-process's affinity mask, with outputs that do not depend on either. A
-value below 1 is still an error.
+only once a solve reads more than a quarter of its rows (the uniform
+start does), runs on one thread per CPU in the process's affinity mask,
+with outputs that do not depend on either. A value below 1 is still an
+error.
 """
 
 from __future__ import annotations

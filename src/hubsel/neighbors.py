@@ -458,15 +458,15 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     # below) and squared for euclidean, an order-preserving map that keeps
     # ties; and L_ij the float32 value of the scan, with, for all j,
     #   L_ij - a_i <= A_ij <= L_ij + w_i + w_j + a_i.
-    # Any k columns bound the k-th smallest A in row i: A_(k) <= t_i, the
-    # largest L_ij + w_j over the k smallest L_ij, plus w_i + a_i. So a j
-    # with A_ij <= A_(k) has L_ij <= A_ij + a_i <= t_i + a_i, and the
-    # shortlist is every j with L_ij <= t_i + a_i. The scan first takes the
-    # k-th smallest L_ij plus max_j w_j for the largest term, a bound at
-    # least t_i; where that shortlist is long, a few rows of large norm set
-    # max_j w_j, and it is cut to t_i proper. Each bound is rounded up to a
-    # float32, so its comparison with the float32 row is exact under
-    # NumPy 1's value-based casting and NumPy 2's promotion alike.
+    # Since A_ij <= L_ij + w_j + w_i + a_i for every j, the k columns of the
+    # k smallest L_ij + w_j bound the k-th smallest A in row i:
+    # A_(k) <= t_i + w_i + a_i, t_i the k-th smallest L_ij + w_j. A j with
+    # A_ij <= A_(k) then has L_ij <= A_ij + a_i <= t_i + w_i + 2 a_i. The
+    # scan adds L_ij and w_j rounded up in float32: round-to-nearest is
+    # monotone, so one float32 ulp above the k-th smallest sum is at least
+    # t_i. Each bound is rounded up to a float32, so its comparison with
+    # the float32 row is exact under NumPy 1's value-based casting and
+    # NumPy 2's promotion alike.
     #
     # Let y be the float64 rows the product starts from: unit rows for
     # cosine; for euclidean X less its column means, scaled by 2^-shift
@@ -525,7 +525,8 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         a += g * (2.0 * (np.sqrt(sq) + math.sqrt(sq.max())) + g)
         w = 4.0 * b * sq
         Y, sq = Y.astype(np.float32), ((1.0 - 2.0 * b) * sq).astype(np.float32)
-    w_max = float(w.max())
+    w_up = w.astype(np.float32)  # w rounded up to float32
+    w_up = np.where(w_up < w, np.nextafter(w_up, np.float32(np.inf)), w_up)
 
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
@@ -536,6 +537,7 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     # two block buffers, filled in turn and allocated once, so the two live
     # blocks never cost a third one's memory (one block leaves one untouched)
     buffers = np.empty((2, block, n), dtype=np.float32)
+    sums = np.empty(n, dtype=np.float32)  # one row's L_ij + w_j, partitioned in place
     approx = _approximate(Y, sq, 0, block, buffers[0])
     # the worker fills the other buffer; a single block starts no thread,
     # and a failed product raises at its result
@@ -546,12 +548,10 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
                 _approximate, Y, sq, e, min(e + block, n), buffers[(e // block) % 2]
             )
             for i, row in zip(range(s, e), approx):
-                kth = float(np.partition(row, k_eff - 1)[k_eff - 1])
-                cand = np.flatnonzero(row <= _float32_ceil(kth + w_max + w[i] + 2.0 * a[i]))
-                if len(cand) > 2 * k_eff:  # a large w_j among the candidates: t_i proper
-                    near = np.argpartition(row, k_eff - 1)[:k_eff]
-                    bound = float((row[near] + w[near]).max()) + w[i] + 2.0 * a[i]
-                    cand = np.flatnonzero(row <= _float32_ceil(bound))
+                np.add(row, w_up, out=sums)
+                sums.partition(k_eff - 1)
+                t = float(np.nextafter(sums[k_eff - 1], np.float32(np.inf)))
+                cand = np.flatnonzero(row <= _float32_ceil(t + w[i] + 2.0 * a[i]))
                 dist = pairs(slice(i, i + 1), cand)[0]
                 order = np.argsort(dist, kind="stable")[:k_eff]
                 indices[i] = cand[order]

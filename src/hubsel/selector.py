@@ -36,18 +36,6 @@ TOLERANCE = 1e-9  # y this close to 0 or 1 is at the box; a reward gap this smal
 # passes it, on-demand work would cost more than the one full pass.
 _ON_DEMAND_SHARE = 0.25
 
-# Rows per block of a dense affinity's product. Both of its backings
-# multiply the same row blocks, so their products agree on any BLAS at
-# one BLAS thread count. Up to this many rows a block is the one product
-# with the whole matrix. OpenBLAS takes rows in fours and splits a
-# product's rows evenly over its threads, so where each thread's share is
-# a multiple of 4 (n = 5000 on one or two threads) blocks of a multiple
-# of 8 rows give that product's bytes too. Across BLAS thread counts no
-# bytes are promised: OpenBLAS 0.3.31 can split a share inside a group of
-# four rows, and at n = 5003, 2 of 5,003 entries of A @ y differed between
-# one and two threads.
-_PRODUCT_ROWS = 64
-
 
 @dataclass
 class SelectionProblem:
@@ -65,10 +53,10 @@ class SelectionProblem:
         an ``nnz`` of 0 as an A with no entry. An ndarray,
         :class:`DenseAffinity` and :class:`CsrAffinity` meet this. Dense
         mode: a DenseAffinity of every pairwise distance, which computes
-        the rows and products the solver reads, or the whole matrix once
-        they stop paying. knn_sparse mode: a CsrAffinity of the kNN edge
-        distances, the larger of (i, j) and (j, i), zero off the edges. A
-        linear problem: a CsrAffinity with no entry.
+        and keeps the rows the solver and its products read, or the whole
+        matrix once they stop paying. knn_sparse mode: a CsrAffinity of
+        the kNN edge distances, the larger of (i, j) and (j, i), zero off
+        the edges. A linear problem: a CsrAffinity with no entry.
     k : int
         Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
@@ -156,14 +144,14 @@ class DenseAffinity:
     """Every pairwise distance between the rows of ``values``, as an
     (n, n) affinity with a zero diagonal, computed as it is read.
 
-    ``a[i]`` computes row i and keeps it; ``a @ y`` computes only the
-    columns of A at the support S of y, since every other column meets a
-    zero of y. Each distance is the one :func:`distance_matrix` gives the
-    pair, whatever the rows computed with it, so on-demand rows equal the
-    matrix's rows; and a product scatters the columns S into zero row
-    blocks of width n and multiplies them as the matrix's own row blocks
-    would be, so it has the bytes of the product with the matrix. Once a
-    product's support or the count of rows kept passes
+    ``a[i]`` computes row i and keeps it. ``a @ y`` is the sum of
+    y_j a[j] over the support of y in ascending j, from a zero vector, by
+    elementwise multiplies and adds: A is symmetric, and every other row
+    meets a zero of y. Each distance is the one :func:`distance_matrix`
+    gives the pair, whatever the rows computed with it, so on-demand rows
+    equal the matrix's rows; a product's bytes depend on those rows alone,
+    so both backings give the same bytes under any BLAS and thread count.
+    Once a product's support or the count of rows kept passes
     ``_ON_DEMAND_SHARE`` of n, the matrix is built once, by the threaded
     pass of :func:`distance_matrix`, and serves every later read; so does
     ``np.asarray(a)``. A euclidean collection whose distances are not
@@ -223,26 +211,12 @@ class DenseAffinity:
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         y = _checked_vector(self, y)
-        n = self.shape[0]
         support = np.flatnonzero(y)
-        if self._matrix is not None or not self._pays(support.size):
-            a = self._materialized()
-
-            def block(s: int, e: int) -> np.ndarray:
-                return a[s:e]
-        else:
-            cols = self._pairs(slice(None), support)  # A[:, S] but its diagonal
-            cols[support, np.arange(support.size)] = 0.0
-            buf = np.zeros((min(_PRODUCT_ROWS, n), n))
-
-            def block(s: int, e: int) -> np.ndarray:
-                buf[: e - s, support] = cols[s:e]
-                return buf[: e - s]
-
-        out = np.empty(n, dtype=np.float64)
-        for s in range(0, n, _PRODUCT_ROWS):
-            e = min(s + _PRODUCT_ROWS, n)
-            out[s:e] = block(s, e) @ y
+        if not self._pays(support.size):
+            self._materialized()
+        out = np.zeros(self.shape[0])
+        for j in support.tolist():
+            out += y[j] * self[j]
         return out
 
 

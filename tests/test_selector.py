@@ -265,7 +265,7 @@ class TestDenseAffinity:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_rows_and_products_are_those_of_the_matrix(self, metric):
         rng = np.random.default_rng(44)
-        n = 150  # three product blocks, the last one partial
+        n = 150
         m = random_matrix(rng, n, 6)
         hub, lid = hub_lid_profiles(rng.integers(0, 10, n), rng.uniform(1.0, 9.0, n))
         built = build_problem(hub, lid, m, metric, 2).a
@@ -276,7 +276,8 @@ class TestDenseAffinity:
         narrow[rng.choice(n, n // 4, replace=False)] = rng.uniform(size=n // 4)
         for y in (narrow, (narrow > 0.5) * 1.0, np.zeros(n)):
             assert (a @ y).tobytes() == (built @ y).tobytes()
-        assert a.nbytes == 0
+        assert a.nbytes == (n // 4) * n * 8  # the products keep the rows of their support
+        a = build_problem(hub, lid, m, metric, 2).a
         for i in range(n // 4):  # a row is computed on its first read, and kept
             assert a[i].tobytes() == whole[i].tobytes()
             assert a.nbytes == (i + 1) * n * 8
@@ -290,18 +291,51 @@ class TestDenseAffinity:
         assert (wide @ y).tobytes() == (built @ y).tobytes()
         assert wide.nbytes == whole.nbytes
 
-    def test_products_of_a_small_collection_are_one_product(self):
-        """Up to one block of rows, a product is the product with the matrix."""
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("share", [0.0, np.inf])
+    def test_a_product_sums_the_rows_of_its_support(self, monkeypatch, metric, share):
+        """``a @ y`` is the sum of y_j A[j] over the support of y in
+        ascending j, from zeros, by elementwise operations, whichever
+        backing serves the rows."""
         rng = np.random.default_rng(45)
-        n = selector._PRODUCT_ROWS
+        n = 150
         m = random_matrix(rng, n, 6)
         hub, lid = hub_lid_profiles(rng.integers(0, 10, n), rng.uniform(1.0, 9.0, n))
-        a = build_problem(hub, lid, m, "cosine", 2).a
-        whole = np.asarray(build_problem(hub, lid, m, "cosine", 2).a)
+        whole = np.asarray(build_problem(hub, lid, m, metric, 2).a)
         y = np.zeros(n)
-        y[[3, 17, 40]] = [1.0, 0.25, 0.75]
-        assert (a @ y).tobytes() == (whole @ y).tobytes()
-        assert a.nbytes == 0
+        support = np.sort(rng.choice(n, 37, replace=False))  # not a multiple of 4
+        y[support] = rng.uniform(size=support.size)
+        want = np.zeros(n)
+        for j in support:
+            want += y[j] * whole[j]
+        got = self.backings(monkeypatch, share, lambda: build_problem(hub, lid, m, metric, 2).a @ y)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_hub_first_solve_computes_each_row_once(self, monkeypatch):
+        """The start's product computes the rows of its support and keeps
+        them, so the solver reads its donors' rows without computing them
+        again, and computes no column."""
+        rng = np.random.default_rng(47)
+        n, k = 400, 10
+        m = random_matrix(rng, n, 6)
+        hub, lid = hub_lid_profiles(rng.integers(0, 10, n), rng.uniform(1.0, 9.0, n))
+        calls = []
+        in_range = selector._in_range
+
+        def counted(*args):
+            xs, top, pairs = in_range(*args)
+            return xs, top, lambda rx, ry: calls.append((rx, ry)) or pairs(rx, ry)
+
+        monkeypatch.setattr(selector, "_in_range", counted)
+        p = build_problem(hub, lid, m, "cosine", k)
+        start = np.flatnonzero(init_hub_first(p)).tolist()
+        _, trace = solve(p, SolverConfig(init="hub_first"))
+        assert trace.iterations > 0
+        assert all(isinstance(ry, slice) and ry == slice(None) and rx.stop == rx.start + 1
+                   for rx, ry in calls)
+        rows = [rx.start for rx, _ in calls]
+        assert rows[:k] == start and len(set(rows)) == len(rows)
+        assert p.a.nbytes == len(rows) * n * 8  # rows only: no matrix was built
 
     def test_distances_beyond_the_float64_maximum_raise_at_build(self):
         hub, lid = hub_lid_profiles([1, 2, 3, 4, 5, 6], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
