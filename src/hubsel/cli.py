@@ -13,11 +13,11 @@ is one ``warning:`` line on stderr. All outputs are
 deterministic for a fixed configuration and seed. ``--threads`` is
 accepted for compatibility and has no effect: the kNN scan computes each
 next block's product on one worker thread while it reranks the current
-block, and the whole dense affinity matrix, which select and rank build
-only once a solve reads more than a quarter of its rows (the uniform
-start does), runs on one thread per CPU in the process's affinity mask,
-with outputs that do not depend on either. A value below 1 is still an
-error.
+block, and the dense affinity's upper triangle, which select and rank
+build only once a solve reads more than a quarter of its rows (the
+uniform start does), is computed on one thread per CPU in the process's
+affinity mask, with outputs that do not depend on either. A value below
+1 is still an error.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility, no effect: the kNN scan runs one "
-                          "worker thread, a whole dense affinity matrix, when one is "
-                          "built, one per CPU in the affinity mask, with the same outputs")
+                          "worker thread, the packed triangle of a dense affinity, when one "
+                          "is built, one per CPU in the affinity mask, with the same outputs")
 
 
 def _add_profile_knobs(sub) -> None:

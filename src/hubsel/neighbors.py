@@ -41,9 +41,9 @@ METRICS = ("cosine", "euclidean")
 # computed, around 32 MB together. Results do not depend on the split.
 _BLOCK_ENTRIES = 4_000_000
 
-# Rows per block of a self distance matrix, sized so one block of the
-# upper triangle stays around 1 MB next to the n x n result. Results do
-# not depend on the split.
+# Rows per block of the packed self distances, sized so one block of the
+# upper triangle stays around 1 MB next to the n (n + 1) / 2 result.
+# Results do not depend on the split.
 _SELF_BLOCK_ENTRIES = 1 << 17
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -186,7 +186,7 @@ def _scaled_back(D: np.ndarray, level: int) -> np.ndarray:
 
 
 def _workers() -> int:
-    """Threads for the blocks of a self distance matrix: one per CPU the
+    """Threads for the blocks of :func:`packed_distances`: one per CPU the
     process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -281,47 +281,60 @@ def _distances(x, y, metric: str) -> np.ndarray:
 
 
 def distance_matrix(x, y, metric: str) -> np.ndarray:
-    """All distances between the rows of ``x`` and ``y``.
+    """All distances between the rows of ``x`` and ``y``, in one pass.
 
     Cosine distances that rounding pushed below 0 are clipped to 0. Each
     distance is the one ``pairs`` of :func:`_in_range` gives, which brings
     rows into range by powers of two, so finite inputs give finite
     distances or, for a euclidean one above the float64 maximum,
-    ``ValueError``.
-
-    Called with the same object as ``x`` and ``y``, it computes each
-    unordered pair once: the upper triangle in row blocks, each mirrored
-    into the lower triangle, with the blocks spread over one thread per
-    CPU in the process's affinity mask. The bytes are those of the full
-    pass whatever the thread count, since ``cdist`` computes each pair on
-    its own and gives (i, j) and (j, i) the same bits, and the rescaling
-    is decided once for all of ``x``. No thread outlives the call.
+    ``ValueError``. cdist computes each pair on its own and gives (i, j)
+    and (j, i) the same bits, so :func:`packed_distances` holds the same
+    values as the upper triangle of a self call.
     """
-    same = y is x
     x = np.asarray(x, dtype=np.float64)
-    y = x if same else np.asarray(y, dtype=np.float64)
+    y = x if y is x else np.asarray(y, dtype=np.float64)
     *_, pairs = _in_range(x, y, metric)
-    if not same:
-        return pairs(slice(None), slice(None))
+    return pairs(slice(None), slice(None))
+
+
+def row_starts(n: int) -> np.ndarray:
+    """Where each row's tail starts in the packed upper triangle of an
+    (n, n) matrix: row i's columns i to n - 1 at i n - i (i - 1) / 2 on."""
+    i = np.arange(n, dtype=np.int64)
+    return i * n - i * (i - 1) // 2
+
+
+def packed_distances(pairs, n: int) -> np.ndarray:
+    """The distances between the n rows of one matrix and themselves, as
+    ``pairs`` of :func:`_in_range` gives them, packed: the upper triangle,
+    diagonal included, row by row, row i's tail at ``row_starts(n)[i]``
+    (LAPACK's packed storage of a symmetric matrix, read by rows), n (n +
+    1) / 2 values in all.
+
+    The triangle is computed in row blocks of about 1 MB, spread over one
+    thread per CPU in the process's affinity mask; each block's row tails
+    are copied in, and the block is dropped. The bytes are those of the
+    full pass whatever the thread count, since cdist computes each pair on
+    its own and the rescaling was decided once for all rows. A block's
+    error reaches the caller, and no thread outlives the call.
+    """
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
-    n = x.shape[0]
-    D = np.empty((n, n), dtype=np.float64)
+    packed = np.empty(n * (n + 1) // 2, dtype=np.float64)
+    starts = row_starts(n).tolist()
     block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
 
-    # Block s writes rows s:e at columns >= s and columns s:e at rows
-    # >= s; a later block s' >= e touches neither, and only block s
-    # writes the square D[s:e, s:e]. The regions are disjoint, so the
-    # workers need no lock.
+    # block s writes the tails of rows s:e, packed[starts[s]:starts[e]],
+    # which no other block touches, so the workers need no lock
     def fill(s: int) -> None:
         e = min(s + block, n)
         B = pairs(slice(s, e), slice(s, None))
-        D[s:e, s:] = B
-        D[s:, s:e] = B.T
+        for r, start in enumerate(starts[s:e]):
+            packed[start:start + n - s - r] = B[r, r:]
 
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         list(pool.map(fill, range(0, n, block)))  # re-raises a block's error
-    return D
+    return packed
 
 
 def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:

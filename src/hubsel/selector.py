@@ -26,15 +26,20 @@ import numpy as np
 
 from hubsel import table
 from hubsel.neighbors import (
-    NeighborGraph, _check_metric, _extension, _in_range, check_cosine_rows, distance_matrix,
+    NeighborGraph, _check_metric, _extension, _in_range, check_cosine_rows, packed_distances,
+    row_starts,
 )
 
 TOLERANCE = 1e-9  # y this close to 0 or 1 is at the box; a reward gap this small, no gain
 
-# The share of n past which a dense affinity computes its whole matrix:
+# The share of n past which a dense affinity builds its packed triangle:
 # once a product's support, or the count of rows computed on demand,
 # passes it, on-demand work would cost more than the one full pass.
 _ON_DEMAND_SHARE = 0.25
+
+# Rows a built dense affinity keeps for reread, unpacked: a uniform start
+# reads its ~20-40 receivers' rows ~250 times each, and each donor's once.
+_ROW_CACHE = 64
 
 
 @dataclass
@@ -53,10 +58,11 @@ class SelectionProblem:
         an ``nnz`` of 0 as an A with no entry. An ndarray,
         :class:`DenseAffinity` and :class:`CsrAffinity` meet this. Dense
         mode: a DenseAffinity of every pairwise distance, which computes
-        and keeps the rows the solver and its products read, or the whole
-        matrix once they stop paying. knn_sparse mode: a CsrAffinity of
-        the kNN edge distances, the larger of (i, j) and (j, i), zero off
-        the edges. A linear problem: a CsrAffinity with no entry.
+        and keeps the rows the solver and its products read, or, once they
+        stop paying, the matrix's upper triangle, each pair held once.
+        knn_sparse mode: a CsrAffinity of the kNN edge distances, the
+        larger of (i, j) and (j, i), zero off the edges. A linear problem:
+        a CsrAffinity with no entry.
     k : int
         Budget, 2 <= k <= n; k = 1 needs A = 0.
     """
@@ -151,12 +157,18 @@ class DenseAffinity:
     gives the pair, whatever the rows computed with it, so on-demand rows
     equal the matrix's rows; a product's bytes depend on those rows alone,
     so both backings give the same bytes under any BLAS and thread count.
+
     Once a product's support or the count of rows kept passes
-    ``_ON_DEMAND_SHARE`` of n, the matrix is built once, by the threaded
-    pass of :func:`distance_matrix`, and serves every later read; so does
-    ``np.asarray(a)``. A euclidean collection whose distances are not
-    bounded below the float64 maximum builds it at once, so a distance
-    that does not fit raises ``ValueError`` here, as the full pass does.
+    ``_ON_DEMAND_SHARE`` of n, A is built once, by the threaded pass of
+    :func:`packed_distances`, as its upper triangle alone: n (n + 1) / 2
+    values, each pair held once. A row read then joins row i's contiguous
+    tail to its head, gathered from column i of the rows above, and the
+    last ``_ROW_CACHE`` rows read are kept. A product past the share reads
+    only row tails (:meth:`_tail_product`), with the product rule's bytes.
+    ``np.asarray(a)`` unpacks the triangle into a new (n, n) matrix. A
+    euclidean collection whose distances are not bounded below the float64
+    maximum builds A at once, so a distance that does not fit raises
+    ``ValueError`` here, as the full pass does.
     """
 
     def __init__(self, values: np.ndarray, metric: str):
@@ -164,59 +176,107 @@ class DenseAffinity:
         self._metric = metric
         n = self._values.shape[0]
         self.shape = (n, n)
+        # rows computed on demand, or, once A is built, the last rows read
+        # in the order read (a dict keeps it)
         self._rows: dict[int, np.ndarray] = {}
-        self._matrix: np.ndarray | None = None
+        self._packed: np.ndarray | None = None
         xs, top, self._pairs = _in_range(self._values, self._values, metric)
         # a distance is at most twice the largest row norm, taken here in
         # the scaled units of xs, with a factor of 2 for rounding
         if top > 0 and 4.0 * float(np.linalg.norm(xs, axis=1).max()) > math.ldexp(
             float(np.finfo(np.float64).max), -top
         ):
-            self._materialized()
+            self._built()
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the distances held: the matrix, or the rows kept."""
-        if self._matrix is not None:
-            return self._matrix.nbytes
+        """Bytes of the distances held: the packed triangle once built,
+        without the rows it keeps for reread, else the rows kept."""
+        if self._packed is not None:
+            return self._packed.nbytes
         return sum(row.nbytes for row in self._rows.values())
 
     def _pays(self, count: int) -> bool:
         return count <= self.shape[0] * _ON_DEMAND_SHARE
 
-    def _materialized(self) -> np.ndarray:
-        if self._matrix is None:
+    def _built(self) -> np.ndarray:
+        if self._packed is None:
             self._rows.clear()
-            a = distance_matrix(self._values, self._values, self._metric)
-            np.fill_diagonal(a, 0.0)
-            self._matrix = a
-        return self._matrix
+            n = self.shape[0]
+            packed = packed_distances(self._pairs, n)
+            self._starts = row_starts(n)
+            packed[self._starts] = 0.0  # the diagonal
+            # A[j, i] for j < i lies at heads[j] + i
+            self._heads = self._starts - np.arange(n)
+            self._index = np.empty(n, dtype=np.int64)  # one row's head, reused
+            self._packed = packed
+        return self._packed
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        a = self._materialized()
-        if dtype is not None:
-            a = a.astype(dtype, copy=False)
-        return a.copy() if copy else a
+        if copy is False:
+            raise ValueError("a dense affinity unpacks into a new array")
+        packed, n = self._built(), self.shape[0]
+        a = np.empty(self.shape, dtype=np.float64)
+        for i, start in enumerate(self._starts.tolist()):
+            a[i, i:] = a[i:, i] = packed[start:start + n - i]
+        return a if dtype is None else a.astype(dtype, copy=False)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        """Row i, computed on its first read, or a row of the matrix."""
-        row = self._rows.get(i)
+        """Row i: computed on its first read and kept, or, once A is built,
+        unpacked from the triangle and kept among the last rows read."""
+        row = self._rows.pop(i, None)
         if row is None:
-            if self._matrix is not None or not self._pays(len(self._rows) + 1):
-                return self._materialized()[i]
-            row = self._pairs(slice(i, i + 1), slice(None))[0]
-            row[i] = 0.0
-            self._rows[i] = row
+            if self._packed is None and self._pays(len(self._rows) + 1):
+                row = self._pairs(slice(i, i + 1), slice(None))[0]
+                row[i] = 0.0
+            else:
+                row = self._unpacked(i)
+                if len(self._rows) >= _ROW_CACHE:
+                    del self._rows[next(iter(self._rows))]  # the least recently read
+        self._rows[i] = row
+        return row
+
+    def _unpacked(self, i: int) -> np.ndarray:
+        packed, n = self._built(), self.shape[0]
+        row = np.empty(n)
+        index = np.add(self._heads[:i], i, out=self._index[:i])
+        packed.take(index, out=row[:i], mode="clip")  # every index is in range
+        start = int(self._starts[i])
+        row[i:] = packed[start:start + n - i]
         return row
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         y = _checked_vector(self, y)
         support = np.flatnonzero(y)
         if not self._pays(support.size):
-            self._materialized()
+            return self._tail_product(y)
         out = np.zeros(self.shape[0])
         for j in support.tolist():
             out += y[j] * self[j]
+        return out
+
+    def _tail_product(self, y: np.ndarray) -> np.ndarray:
+        """A y by the product rule, read from the row tails of the built
+        triangle alone. Entry m of the rule's sum takes the terms
+        y_j A[j, m] over the support in ascending j, from 0. Walking m
+        upwards, out[m] already holds its terms j < m, each added by the
+        tail of an earlier support row j as the rule adds it; the terms
+        j >= m are row m's own tail, A[m, m:], times y[m:], summed on from
+        out[m] in ascending j by one sequential ``np.add.accumulate``. Off
+        the support that sum adds y_j A[m, j] = +-0.0, which leaves it as
+        it is: A is finite, and no entry of out is ever -0.0, since it
+        starts at +0.0 and a round-to-nearest sum is -0.0 only of two -0.0."""
+        packed, n = self._built(), self.shape[0]
+        out = np.zeros(n)
+        sums = np.empty(n + 1)
+        for m, start in enumerate(self._starts.tolist()):
+            tail = packed[start:start + n - m]
+            part = sums[: n - m + 1]
+            part[0] = out[m]
+            np.multiply(y[m:], tail, out=part[1:])
+            out[m] = np.add.accumulate(part, out=part)[-1]
+            if y[m]:
+                out[m + 1:] += y[m] * tail[1:]
         return out
 
 

@@ -1109,15 +1109,8 @@ class TestDenseAffinityOnDemand:
 
     @staticmethod
     def no_matrix(monkeypatch):
-        distance_matrix = neighbors.distance_matrix
-
-        def pairs_only(x, y, metric):
-            if y is x:
-                pytest.fail("built the whole matrix")
-            return distance_matrix(x, y, metric)
-
-        monkeypatch.setattr(neighbors, "distance_matrix", pairs_only)
-        monkeypatch.setattr(selector, "distance_matrix", pairs_only)
+        monkeypatch.setattr(selector, "packed_distances",
+                            lambda *args: pytest.fail("built the whole matrix"))
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_backings_write_the_same_bytes(self, workspace, tmp_path, monkeypatch, capsys, metric):
@@ -1527,7 +1520,7 @@ def test_failing_scan_product_exits_1_and_leaves_no_thread(
 def test_failing_affinity_block_exits_1_and_leaves_no_thread(
     workspace, tmp_path, monkeypatch, capsys
 ):
-    """A MemoryError in one row block of the dense pass reaches ``main``
+    """A MemoryError in one row block of the packed pass reaches ``main``
     through the thread pool: exit 1, no solution, no thread left over."""
     n = workspace["matrix"].n
     monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", 4 * n)  # 4-row blocks

@@ -617,8 +617,8 @@ class TestExtremeMagnitudes:
     def test_self_matrix_one_pass_matches_full_pass(
         self, monkeypatch, distance_paths, metric, scale
     ):
-        # A self call computes each unordered pair once and mirrors it,
-        # which keeps the bytes only because cdist gives (i, j) and (j, i)
+        # The packed pass computes each unordered pair once, which keeps the
+        # bytes of the full pass only because cdist gives (i, j) and (j, i)
         # the same bits; checked with one-row blocks, two-row blocks (a
         # ragged last one when n is odd) and a single block, after the
         # per-row (cosine) or global (euclidean) rescale
@@ -628,18 +628,20 @@ class TestExtremeMagnitudes:
             for _ in distance_paths():
                 full = distance_matrix(x, x.copy(), metric)
                 assert full.tobytes() == full.T.copy().tobytes()
+                assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
                 for rows in (1, 2, n):
                     monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
-                    assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
+                    packed = neighbors.packed_distances(neighbors._in_range(x, x, metric)[2], n)
+                    assert packed.tobytes() == full[np.triu_indices(n)].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_any_worker_count_gives_one_full_cdist_pass(
         self, monkeypatch, distance_paths, metric, workers
     ):
-        # the self pass runs its row blocks on a pool of _workers() threads;
-        # 4-row blocks of 23 rows end in a partial block, and a row near
-        # 1e200 is brought into range by a power of two (that row under
+        # the packed pass runs its row blocks on a pool of _workers()
+        # threads; 4-row blocks of 23 rows end in a partial block, and a row
+        # near 1e200 is brought into range by a power of two (that row under
         # cosine, all rows under euclidean) before the pass. The result
         # starts as np.empty, so a lost block write shows as other bytes;
         # a short switch interval makes the threads interleave often.
@@ -667,8 +669,11 @@ class TestExtremeMagnitudes:
                     # the normal range; their pairs are computed unscaled
                     want[np.ix_(rest, rest)] = cdist(values[rest], values[rest])
                 before = threading.active_count()
-                assert distance_matrix(values, values, metric).tobytes() == want.tobytes()
+                pairs = neighbors._in_range(values, values, metric)[2]
+                packed = neighbors.packed_distances(pairs, 23)
+                assert packed.tobytes() == want[np.triu_indices(23)].tobytes()
                 assert threading.active_count() == before
+                assert distance_matrix(values, values, metric).tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(interval)
 

@@ -1,11 +1,12 @@
 import importlib.machinery
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from hubsel import selector
+from hubsel import neighbors, selector
 from hubsel.evaluation import Ranking, save_run
 from hubsel.features import FeatureMatrix
 from hubsel.neighbors import knn_graph, pairwise_distance
@@ -123,7 +124,8 @@ class TestBuildProblem:
         def no_distances(*args, **kwargs):
             raise AssertionError("linear problem computed distances")
 
-        monkeypatch.setattr(selector, "distance_matrix", no_distances)
+        monkeypatch.setattr(selector, "_in_range", no_distances)
+        monkeypatch.setattr(selector, "packed_distances", no_distances)
         m = random_matrix(np.random.default_rng(7), 6, 3)
         hub, lid = hub_lid_profiles([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         for mode in ("dense", "knn_sparse"):  # knn_sparse without a graph
@@ -231,7 +233,7 @@ class TestDenseAffinity:
         (share 0) or never (share inf)."""
         monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", share)
         if share == np.inf:
-            monkeypatch.setattr(selector, "distance_matrix",
+            monkeypatch.setattr(selector, "packed_distances",
                                 lambda *a: pytest.fail("built the whole matrix"))
         out = build()
         monkeypatch.undo()
@@ -281,15 +283,15 @@ class TestDenseAffinity:
         for i in range(n // 4):  # a row is computed on its first read, and kept
             assert a[i].tobytes() == whole[i].tobytes()
             assert a.nbytes == (i + 1) * n * 8
-        a[n // 4]  # one more row passes n / 4: the matrix is built
-        assert a.nbytes == whole.nbytes
+        a[n // 4]  # one more row passes n / 4: the matrix is built, each pair once
+        assert a.nbytes == n * (n + 1) // 2 * 8
         assert np.asarray(a).tobytes() == whole.tobytes()
         assert all(a[i].tobytes() == whole[i].tobytes() for i in range(n))
 
         wide = build_problem(hub, lid, m, metric, 2).a
         y = np.full(n, 2 / n)  # a support past n / 4 builds the matrix too
         assert (wide @ y).tobytes() == (built @ y).tobytes()
-        assert wide.nbytes == whole.nbytes
+        assert wide.nbytes == n * (n + 1) // 2 * 8
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("share", [0.0, np.inf])
@@ -310,6 +312,55 @@ class TestDenseAffinity:
             want += y[j] * whole[j]
         got = self.backings(monkeypatch, share, lambda: build_problem(hub, lid, m, metric, 2).a @ y)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_a_tail_product_is_the_product_rule(self, monkeypatch, metric):
+        """A product past n / 4 reads only the row tails of the packed
+        triangle, and gives the product rule's bytes: at supports just past
+        n / 4, of 60% and full, on rows near 1e150 and 1e-150, and with
+        entries of y at -1e-9 (whose diagonal terms are -0.0), -0.0 and 0."""
+        rng = np.random.default_rng(49)
+        n = 157
+        values = rng.standard_normal((n, 6))
+        values[::5] *= 1e150
+        values[2::7] *= 1e-150
+        whole = np.asarray(selector.DenseAffinity(values, metric))
+        for size in (n // 4 + 1, (6 * n) // 10, n):
+            support = np.sort(rng.choice(n, size, replace=False))
+            plain = np.zeros(n)
+            plain[support] = rng.uniform(size=size)
+            edge = plain.copy()
+            edge[support[::3]] = -1e-9
+            edge[np.setdiff1d(np.arange(n), support)[::2]] = -0.0
+            for y in (plain, edge):
+                want = np.zeros(n)
+                for j in np.flatnonzero(y):
+                    want += y[j] * whole[j]
+                a = selector.DenseAffinity(values, metric)
+                with monkeypatch.context() as patch:
+                    patch.setattr(selector.DenseAffinity, "__getitem__",
+                                  lambda *args: pytest.fail("read a whole row"))
+                    assert (a @ y).tobytes() == want.tobytes(), size
+                assert a.nbytes == n * (n + 1) // 2 * 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_a_built_affinity_allocates_each_pair_once(self, monkeypatch, metric, workers):
+        """Building A allocates its n (n + 1) / 2 doubles, a row block of
+        about 1 MB per worker, and under 1 MB more: no (n, n) matrix."""
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        n = 2000
+        a = selector.DenseAffinity(np.random.default_rng(50).standard_normal((n, 16)), metric)
+        block = neighbors._SELF_BLOCK_ENTRIES // n * n * 8
+        np.asarray(selector.DenseAffinity(np.eye(3), metric))  # imports the pool's module
+        tracemalloc.start()
+        try:
+            a @ np.full(n, 2 / n)  # a support past n / 4 builds A
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.nbytes == n * (n + 1) // 2 * 8
+        assert peak <= a.nbytes + workers * block + 2**20
 
     def test_a_hub_first_solve_computes_each_row_once(self, monkeypatch):
         """The start's product computes the rows of its support and keeps
