@@ -396,10 +396,17 @@ def _product(p: SelectionProblem, y: np.ndarray) -> np.ndarray:
     return p._last[1]
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """sum(u v) by numpy's own sum of the products, in a fixed order: a
+    BLAS dot product splits a long sum over its threads, so its last bits
+    follow the BLAS thread count."""
+    return float(np.add.reduce(u * v))
+
+
 def objective(p: SelectionProblem, y: np.ndarray) -> float:
     """Objective f(y). No budget check, so perturbed y may be evaluated."""
     ay = _product(p, y)
-    return (float(y @ p.h) - float(y @ p.d_risk)) / p.k + float(y @ ay) / _pair_divisor(p.k)
+    return (_dot(y, p.h) - _dot(y, p.d_risk)) / p.k + _dot(y, ay) / _pair_divisor(p.k)
 
 
 def rewards(p: SelectionProblem, y: np.ndarray) -> np.ndarray:

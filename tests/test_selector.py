@@ -1,6 +1,9 @@
 import importlib.machinery
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +411,32 @@ class TestDenseAffinity:
 
 
 class TestObjectiveAndReward:
+    @pytest.mark.skipif(neighbors._workers() < 2, reason="two BLAS threads need two CPUs")
+    def test_objective_bits_do_not_depend_on_the_blas_thread_count(self):
+        """At n = 20000 OpenBLAS splits a dot product over its threads; the
+        objective's three sums take the same bits under one and two."""
+        code = """
+import numpy as np
+from hubsel import selector
+n, width = 20000, 8
+rng = np.random.default_rng(51)
+indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+indices = np.sort(rng.integers(0, n, (n, width)), axis=1).astype(np.int32).ravel()
+a = selector.CsrAffinity(indptr, indices, rng.uniform(size=n * width), (n, n))
+p = selector.SelectionProblem(h=rng.uniform(size=n), d_risk=rng.uniform(size=n), a=a, k=20)
+y = rng.uniform(size=n)
+print(selector.objective(p, y * (20 / y.sum())).hex())
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        bits = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert bits["1"] == bits["2"]
+
     def test_zero_vector(self):
         p = two_point_problem()
         assert objective(p, np.zeros(2)) == 0.0
