@@ -172,15 +172,14 @@ class DenseAffinity:
     """
 
     def __init__(self, values: np.ndarray, metric: str):
-        self._values = np.asarray(values, dtype=np.float64)
-        self._metric = metric
-        n = self._values.shape[0]
+        values = np.asarray(values, dtype=np.float64)
+        n = values.shape[0]
         self.shape = (n, n)
         # rows computed on demand, or, once A is built, the last rows read
         # in the order read (a dict keeps it)
         self._rows: dict[int, np.ndarray] = {}
         self._packed: np.ndarray | None = None
-        xs, top, self._pairs = _in_range(self._values, self._values, metric)
+        xs, top, self._pairs = _in_range(values, values, metric)
         # a distance is at most twice the largest row norm, taken here in
         # the scaled units of xs, with a factor of 2 for rounding
         if top > 0 and 4.0 * float(np.linalg.norm(xs, axis=1).max()) > math.ldexp(
@@ -224,6 +223,8 @@ class DenseAffinity:
     def __getitem__(self, i: int) -> np.ndarray:
         """Row i: computed on its first read and kept, or, once A is built,
         unpacked from the triangle and kept among the last rows read."""
+        if not 0 <= i < self.shape[0]:  # the packed reads take no other index
+            raise IndexError(f"row {i} of an affinity of {self.shape[0]} rows")
         row = self._rows.pop(i, None)
         if row is None:
             if self._packed is None and self._pays(len(self._rows) + 1):

@@ -202,6 +202,14 @@ class TestCsrAffinity:
         assert asked == ["scipy.sparse._sparsetools"]
         assert "scipy.sparse._sparsetools" in sys.modules
 
+    @pytest.mark.parametrize("share", [0.0, np.inf])
+    def test_a_row_outside_the_affinity_raises(self, monkeypatch, share):
+        monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", share)
+        a = selector.DenseAffinity(random_matrix(np.random.default_rng(52), 5, 2).values, "cosine")
+        for i in (-1, 5):
+            with pytest.raises(IndexError):
+                a[i]
+
     def test_product_of_another_length_raises(self):
         g = knn_graph(random_matrix(np.random.default_rng(43), 9, 3), 2, "euclidean")
         a = selector._knn_affinity(g)
