@@ -54,9 +54,10 @@ class SelectionProblem:
         Risk term, min-max normalized to [0, 1].
     a : (n, n) affinity
         Symmetric, non-negative, zero diagonal. The solver reads it only
-        as ``a[i]``, row i as a float64 vector, and ``a @ y``, and takes
-        an ``nnz`` of 0 as an A with no entry. An ndarray,
-        :class:`DenseAffinity` and :class:`CsrAffinity` meet this. Dense
+        as ``a[i]``, row i as a float64 vector for 0 <= i < n, and
+        ``a @ y``, and takes an ``nnz`` of 0 as an A with no entry. An
+        ndarray, :class:`DenseAffinity` and :class:`CsrAffinity` meet
+        this; the two objects raise ``IndexError`` for any other i. Dense
         mode: a DenseAffinity of every pairwise distance, which computes
         and keeps the rows the solver and its products read, or, once they
         stop paying, the matrix's upper triangle, each pair held once.
@@ -126,6 +127,7 @@ class CsrAffinity:
 
     def __getitem__(self, i: int) -> np.ndarray:
         """Row i as a dense vector."""
+        _check_row(self, i)  # indptr[i] would read a wrong row for a negative i
         row = np.zeros(self.shape[1])
         lo, hi = self.indptr[i], self.indptr[i + 1]
         row[self.indices[lo:hi]] = self.data[lo:hi]
@@ -137,6 +139,11 @@ class CsrAffinity:
         tools = _extension("_sparsetools", "sparse")
         tools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, y, out)
         return out
+
+
+def _check_row(a, i: int) -> None:
+    if not 0 <= i < a.shape[0]:
+        raise IndexError(f"row {i} of an affinity of {a.shape[0]} rows")
 
 
 def _checked_vector(a, y) -> np.ndarray:
@@ -223,8 +230,7 @@ class DenseAffinity:
     def __getitem__(self, i: int) -> np.ndarray:
         """Row i: computed on its first read and kept, or, once A is built,
         unpacked from the triangle and kept among the last rows read."""
-        if not 0 <= i < self.shape[0]:  # the packed reads take no other index
-            raise IndexError(f"row {i} of an affinity of {self.shape[0]} rows")
+        _check_row(self, i)  # the packed reads take no other index
         row = self._rows.pop(i, None)
         if row is None:
             if self._packed is None and self._pays(len(self._rows) + 1):
@@ -502,10 +508,10 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
 
     y = _initial_vector(p, cfg)  # updated in place
     denom = _pair_divisor(k)
-    # an A with no entry moves no reward: r never holds -0.0, so adding the
-    # zero delta would leave its bytes as they are
+    # an A with no entry moves no reward: a reward is never -0.0, so adding
+    # the zero delta would leave its bytes as they are
     paired = getattr(p.a, "nnz", None) != 0
-    r = rewards(p, y)  # a fresh array, updated in place
+    r = rewards(p, y)
     f = objective(p, y)
     _check_finite(r, f)
 
@@ -514,21 +520,18 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     drift = abs(float(y.sum()) - k)
     y_lo, y_hi = float(y.min()), float(y.max())
     converged = False
-    # receivers (below 1) and donors (above 0), with r masked to each; only
-    # y_i and y_j move, so an update sets them at i and j alone, and adds
-    # to r_hi and r_lo the delta it adds to r: a finite delta leaves their
-    # infinities as they are and their other entries equal to r's
-    recv, don = y < 1.0 - TOLERANCE, y > TOLERANCE
-    n_recv, n_don = int(recv.sum()), int(don.sum())
-    r_hi, r_lo = np.where(recv, r, -np.inf), np.where(don, r, np.inf)
+    # r is held only masked: r_hi is r on the receivers (y below 1), -inf
+    # elsewhere, r_lo is r on the donors (y above 0), +inf elsewhere, and
+    # each fragment is one or both. An update adds its delta to both and
+    # re-masks i and j alone, the only entries of y it moves. No receiver
+    # or no donor gives eta = -inf; an overflow stays non-finite in both.
+    r_hi = np.where(y < 1.0 - TOLERANCE, r, -np.inf)
+    r_lo = np.where(y > TOLERANCE, r, np.inf)
 
     for _ in range(max_iter):
-        if not n_recv or not n_don:
-            converged = True
-            break
         i = int(np.argmax(r_hi))
         j = int(np.argmin(r_lo))
-        eta = float(r[i] - r[j])
+        eta = float(r_hi[i] - r_lo[j])
         if eta <= TOLERANCE:
             converged = True
             break
@@ -556,16 +559,11 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         if paired:
             delta = row_i - row_j
             delta *= 2.0 * alpha / denom
-            r += delta
             r_hi += delta
             r_lo += delta
-        for t in (i, j):
-            below, above = bool(y[t] < 1.0 - TOLERANCE), bool(y[t] > TOLERANCE)
-            n_recv += below - bool(recv[t])
-            n_don += above - bool(don[t])
-            recv[t], don[t] = below, above
-            r_hi[t] = r[t] if below else -np.inf
-            r_lo[t] = r[t] if above else np.inf
+        for t, r_t in ((i, r_hi[i]), (j, r_lo[j])):  # a receiver and a donor
+            r_hi[t] = r_t if y[t] < 1.0 - TOLERANCE else -np.inf
+            r_lo[t] = r_t if y[t] > TOLERANCE else np.inf
         f += gain
         objs.append(f)
         updates.append((eta, j, i, alpha))
@@ -573,7 +571,7 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         # only y_i and y_j moved, so the running extremes need only them
         y_lo = min(y_lo, float(y[i]), float(y[j]))
         y_hi = max(y_hi, float(y[i]), float(y[j]))
-    _check_finite(r, f)
+    _check_finite(np.where(y < 1.0 - TOLERANCE, r_hi, r_lo), f)
 
     trace = SolverTrace(
         objective_per_iteration=objs,

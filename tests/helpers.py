@@ -105,3 +105,65 @@ def write_fbin(path, ids, values):
         raw += struct.pack("<H", len(enc)) + enc
     path.write_bytes(raw)
     return path
+
+
+def reference_solve(p, y0, step_rule="derived", max_iterations=None):
+    """Naive pairwise-transfer solver: one full reward vector r, and the
+    receiver and donor sets recomputed from y at every iteration, with the
+    update arithmetic of ``selector.solve``. The extremes and the budget
+    drift come from full scans of y. Returns (y, SolverTrace)."""
+    from hubsel.selector import TOLERANCE, SolverTrace, kkt_residual
+
+    y = np.array(y0, dtype=np.float64)
+    n, k = y.size, p.k
+    denom = max(k * (k - 1), 1)
+    ay = p.a @ y
+    r = (p.h - p.d_risk) / k + 2.0 * ay / denom
+    f = (float(np.add.reduce(y * p.h)) - float(np.add.reduce(y * p.d_risk))) / k
+    f += float(np.add.reduce(y * ay)) / denom
+    objs, updates, converged = [f], [], False
+    y_lo, y_hi, drift = float(y.min()), float(y.max()), abs(float(y.sum()) - k)
+    for _ in range(max_iterations if max_iterations is not None else 10 * n):
+        receivers = np.flatnonzero(y < 1.0 - TOLERANCE)
+        donors = np.flatnonzero(y > TOLERANCE)
+        if not receivers.size or not donors.size:
+            converged = True
+            break
+        i = int(receivers[np.argmax(r[receivers])])
+        j = int(donors[np.argmin(r[donors])])
+        eta = float(r[i] - r[j])
+        if eta <= TOLERANCE:
+            converged = True
+            break
+        cap_j, cap_i = float(y[j]), 1.0 - float(y[i])
+        box = min(cap_j, cap_i)
+        row_i, row_j = p.a[i], p.a[j]
+        sigma = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
+        if sigma >= 0.0:
+            alpha = box
+        else:
+            span = denom * eta / (-sigma)
+            if step_rule == "paper" and span <= box:
+                break
+            alpha = min(box, span / 2.0 if step_rule == "derived" else span)
+        f += eta * alpha + sigma * alpha * alpha / denom
+        y[j] = 0.0 if alpha >= cap_j else y[j] - alpha
+        y[i] = 1.0 if alpha >= cap_i else y[i] + alpha
+        delta = row_i - row_j
+        delta *= 2.0 * alpha / denom
+        r += delta
+        objs.append(f)
+        updates.append((eta, j, i, alpha))
+        y_lo, y_hi = min(y_lo, float(y.min())), max(y_hi, float(y.max()))
+        drift = max(drift, abs(float(y.sum()) - k))
+    trace = SolverTrace(
+        objective_per_iteration=objs,
+        iterations=len(updates),
+        kkt_residual=kkt_residual(p, y),
+        converged=converged,
+        updates=updates,
+        max_budget_drift=drift,
+        y_min=y_lo,
+        y_max=y_hi,
+    )
+    return y, trace

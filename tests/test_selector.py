@@ -1,4 +1,5 @@
 import importlib.machinery
+import itertools
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from hubsel.selector import (
     solve,
 )
 from hubsel.stats import HubnessProfile, LidProfile, hubness_scores, lid_mle
-from helpers import best_subset, random_matrix, random_selection_problem
+from helpers import best_subset, random_matrix, random_selection_problem, reference_solve
 
 
 def two_point_problem():
@@ -209,6 +210,12 @@ class TestCsrAffinity:
         for i in (-1, 5):
             with pytest.raises(IndexError):
                 a[i]
+        # indptr[i] of a negative i read another row: a[-1] all zeros, a[-2] row 2
+        a = csr_affinity(sparse.csr_matrix(np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0.0]])))
+        assert [a[i].tolist() for i in range(3)] == [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        for i in (-1, -2, -3, 3, np.int64(-1)):
+            with pytest.raises(IndexError, match=rf"^row {i} of an affinity of 3 rows$"):
+                a[i]
 
     def test_product_of_another_length_raises(self):
         g = knn_graph(random_matrix(np.random.default_rng(43), 9, 3), 2, "euclidean")
@@ -232,6 +239,26 @@ def _solved_bytes(p, cfg, tmp_path):
     save_run(tmp_path / "r.csv", [Ranking("q", [ids[i] for i in order])])
     files = [(tmp_path / name).read_bytes() for name in ("s.json", "t.csv", "r.csv")]
     return y.tobytes(), repr(trace), order, files
+
+
+def _backed_problem(backing, rng, n, k):
+    """A random instance whose A is an ndarray, a CsrAffinity with an empty
+    row, the CsrAffinity of a linear problem, or a DenseAffinity."""
+    h, d = rng.uniform(size=n), rng.uniform(size=n)
+    if backing.startswith("dense"):
+        metric = ("cosine", "euclidean")[int(rng.integers(2))]
+        a = selector.DenseAffinity(rng.standard_normal((n, 3)), metric)
+    elif backing == "linear":
+        a = selector.CsrAffinity(np.zeros(n + 1, np.int32), np.empty(0, np.int32),
+                                 np.empty(0), (n, n))
+    else:
+        a = np.triu(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5), 1)
+        a += a.T
+        empty = int(rng.integers(n))
+        a[empty] = a[:, empty] = 0.0
+        if backing == "csr":
+            a = csr_affinity(sparse.csr_matrix(a))
+    return SelectionProblem(h=h, d_risk=d, a=a, k=k)
 
 
 class TestDenseAffinity:
@@ -520,6 +547,15 @@ class TestSolve:
         assert y.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]
         assert trace.iterations == 0
         assert trace.converged
+        # a custom vertex start that no pair improves, with a small A too:
+        # receivers and donors are both left, and the reward gap stops it
+        start = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        a = random_selection_problem(np.random.default_rng(38), n=n).a
+        for scale, step_rule in itertools.product((0.0, 0.01), ("derived", "paper")):
+            p = SelectionProblem(h=h, d_risk=np.zeros(n), a=scale * a, k=2)
+            y, trace = solve(p, SolverConfig(init=start, step_rule=step_rule))
+            assert y.tobytes() == start.tobytes()
+            assert (trace.iterations, trace.converged, trace.kkt_residual) == (0, True, 0.0)
 
     def test_uniform_reaches_linear_optimum(self):
         n = 5
@@ -537,6 +573,45 @@ class TestSolve:
         assert trace.iterations == 0
         assert trace.converged
         assert trace.kkt_residual == 0.0
+        # no fragment can receive, so the first reward gap is -inf
+        rng = np.random.default_rng(37)
+        for backing in ("ndarray", "csr", "linear", "dense"):
+            for init, step_rule in itertools.product(INITS, ("derived", "paper")):
+                p = _backed_problem(backing, rng, 5, 5)
+                y, trace = solve(p, SolverConfig(init=init, step_rule=step_rule))
+                assert y.tolist() == [1.0] * 5
+                assert (trace.iterations, trace.converged, trace.kkt_residual) == (0, True, 0.0)
+                assert len(trace.objective_per_iteration) == 1
+
+    @pytest.mark.parametrize("backing", ["ndarray", "csr", "linear", "dense", "dense_built"])
+    @pytest.mark.parametrize("step_rule", ["derived", "paper"])
+    def test_matches_the_reference_solver(self, monkeypatch, backing, step_rule):
+        """The y and trace of the naive solver, which keeps all of r and
+        finds the receivers and donors anew at every step, byte for byte:
+        on every backing, from every named start and a custom one with
+        entries at exactly 0 and 1, cut after 1, 2 or no iteration cap."""
+        # a dense affinity built at its first read, or computed on demand
+        share = 0.0 if backing == "dense_built" else 1.0
+        monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", share)
+        rng = np.random.default_rng(36)
+        for _ in range(4):
+            n = int(rng.integers(6, 13))
+            k = int(rng.integers(1 if backing == "linear" else 2, 5))
+            seed = int(rng.integers(2**32))
+            custom = np.zeros(n)
+            custom[: k - 1] = 1.0
+            custom[k - 1: k + 1] = 0.5
+            custom = custom[rng.permutation(n)]
+            for init in (*INITS, custom):
+                for max_iterations in (1, 2, None):
+                    cfg = SolverConfig(init, max_iterations, step_rule)
+                    p, q = (_backed_problem(backing, np.random.default_rng(seed), n, k)
+                            for _ in range(2))
+                    start = selector._initial_vector(q, cfg)
+                    y, trace = solve(p, cfg)
+                    y_ref, trace_ref = reference_solve(q, start, step_rule, max_iterations)
+                    assert y.tobytes() == y_ref.tobytes()
+                    assert repr(trace) == repr(trace_ref)
 
     def test_custom_init_validated(self):
         p = random_selection_problem(np.random.default_rng(14), n=5, k=2)
