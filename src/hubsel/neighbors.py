@@ -15,15 +15,25 @@ Every norm and distance goes through one power-of-two range rule: rows
 whose squares would overflow or underflow are scaled into range by
 powers of two. :func:`unit_rows` gives every unit row, and ``pairs`` of
 ``_in_range`` every distance, in true units; graphs are ranked in them.
-Distances come from the compiled kernels of scipy's ``cdist`` alone.
+Distances come from the compiled kernels of scipy's ``cdist`` and
+``pdist`` alone.
+
+The scan and the group means of :func:`group_mean_distances` hold the
+interpreter lock row by row, so they split their rows into one
+contiguous range per CPU, each filled by its own forked process into a
+shared mapping (:func:`_on_row_ranges`); no byte depends on the split.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
+import mmap
 import os
+import pickle
+import signal
 import sys
 import threading
 import zipfile
@@ -51,13 +61,12 @@ _F32 = np.finfo(np.float32)
 _F32_SMALLEST = math.sqrt(float(_F32.tiny))  # 2^-63
 
 
-def _float32_ceil(t: float) -> np.float32:
-    """The smallest float32 at or above ``t``: a float32 is at most ``t``
-    exactly when it is at most this."""
-    if t > float(_F32.max):
-        return np.float32(np.inf)
-    c = np.float32(t)
-    return c if float(c) >= t else np.nextafter(c, np.float32(np.inf))
+def _float32_ceil(v: np.ndarray) -> np.ndarray:
+    """Each float64 of ``v`` rounded up to float32, the smallest float32 at
+    or above it: a float32 is at most v_i exactly when it is at most this."""
+    with np.errstate(over="ignore"):  # beyond float32's range: inf
+        c = v.astype(np.float32)
+        return np.where(c < v, np.nextafter(c, np.float32(np.inf)), c)
 
 # Largest row magnitudes in [_SMALLEST, _largest(d)] need no rescaling:
 # their squares are normal floats, and a d-term sum of squared
@@ -140,14 +149,17 @@ def _exponents(peak: np.ndarray, d: int) -> np.ndarray:
 
 
 def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
-    """``(xs, top, pairs)``: the rows of ``x`` scaled by powers of two so
-    that the square of the largest magnitude is normal and every sum of
-    squares stays finite (each row by its own factor for cosine, where top
-    is 0; all by 2^-top for euclidean); and ``pairs(rx, ry)``, the
+    """``(xs, top, pairs, condensed)``: the rows of ``x`` scaled by powers
+    of two so that the square of the largest magnitude is normal and every
+    sum of squares stays finite (each row by its own factor for cosine,
+    where top is 0; all by 2^-top for euclidean); ``pairs(rx, ry)``, the
     distances between rows ``rx`` of ``x`` and ``ry`` of ``y`` in true units,
     the pair (i, j) under euclidean on both rows scaled by 2^-max(e_i, e_j)
-    (:func:`_exponents`). A euclidean distance above the float64 maximum
-    raises ``ValueError``; rows in range get one kernel call, every bit kept."""
+    (:func:`_exponents`); and ``condensed(rows)``, for rows of ``x`` alone,
+    the upper triangle of ``pairs(rows, rows)`` without its diagonal, row
+    by row, bytes included, each pair computed once. A euclidean distance
+    above the float64 maximum raises ``ValueError``; rows in range get one
+    kernel call, every bit kept."""
     same = y is x
     top, lower = 0, []
     if metric == "cosine":
@@ -172,7 +184,19 @@ def _in_range(x: np.ndarray, y: np.ndarray, metric: str):
                 D[np.ix_(a, b)] = _scaled_back(sub, level)
         return D
 
-    return xs, top, pairs
+    def condensed(rows) -> np.ndarray:
+        D = _scaled_back(_condensed_distances(xs[rows], metric), top)
+        # as in pairs; of m rows, the pair (i, j), i < j, is at i m - i (i + 1) / 2 + j - i - 1
+        for level in lower:
+            er = ex[rows]
+            a = np.flatnonzero(er <= level)
+            if a.size > 1:
+                sub = _condensed_distances(np.ldexp(x[rows][a], -level), metric)
+                i, j = (a[t] for t in np.triu_indices(a.size, k=1))
+                D[i * er.size - i * (i + 1) // 2 + j - i - 1] = _scaled_back(sub, level)
+        return D
+
+    return xs, top, pairs, condensed
 
 
 def _scaled_back(D: np.ndarray, level: int) -> np.ndarray:
@@ -186,16 +210,127 @@ def _scaled_back(D: np.ndarray, level: int) -> np.ndarray:
 
 
 def _workers() -> int:
-    """Threads for the blocks of :func:`packed_distances`: one per CPU the
-    process may run on."""
+    """One per CPU the process may run on: the threads of
+    :func:`packed_distances`, and the parts of :func:`_on_row_ranges`."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-# cdist's compiled kernel for each metric, loaded on the first distance
-# of the process; empty when they cannot be loaded, and cdist serves both
+# Rows below which :func:`_on_row_ranges` forks no process. A fork and its
+# exit cost about 2 ms, and the copies of the pages either process writes
+# after it more: at 2000 rows a forked scan or diversity was 5-15 ms slower
+# where only one CPU was free, against 20-50 us a row on one CPU.
+_FORK_MIN_ROWS = 2000
+
+
+def _single_threaded() -> bool:
+    """Whether the process runs one thread, a BLAS pool's included, on
+    Linux: a fork then copies no lock that another thread holds, and
+    Python 3.12 on warns of nothing."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _on_row_ranges(n: int, outputs, fill) -> list[np.ndarray]:
+    """Arrays of the ``(shape, dtype)`` pairs of ``outputs``, each of n
+    rows, with ``fill(*arrays, start, stop)`` run on every row range of a
+    split of range(n) into :func:`_workers` contiguous parts. ``fill``
+    writes rows start:stop of each array and reads no other row of them,
+    so the bytes do not depend on the split.
+
+    This process fills the first range, and a forked child each other one,
+    into arrays held in one anonymous shared mapping. A child's error
+    reaches the caller with its type and message, the first range's first;
+    no child outlives the call. Below ``_FORK_MIN_ROWS`` rows, off Linux,
+    or with a second thread running, this process fills all n rows into
+    arrays of its own."""
+    if n < _FORK_MIN_ROWS or not _single_threaded() or (parts := min(_workers(), n)) < 2:
+        arrays = [np.empty(shape, dtype) for shape, dtype in outputs]
+        fill(*arrays, 0, n)
+        return arrays
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in outputs]
+    shared = mmap.mmap(-1, max(sum(sizes), 1))
+    arrays = [
+        np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape)
+        for (shape, dtype), offset in zip(outputs, itertools.accumulate(sizes, initial=0))
+    ]
+    bounds = [n * p // parts for p in range(parts + 1)]
+    children, stop = [], n  # (pid, read end of its error pipe); the rows left to this process
+    try:
+        for p in range(1, parts):
+            try:
+                children.append(_forked(fill, arrays, bounds[p], bounds[p + 1]))
+            except OSError:  # no process to be had: this one fills the rest
+                stop = bounds[p]
+                break
+        fill(*arrays, 0, bounds[1])
+        if stop < n:
+            fill(*arrays, stop, n)
+    except BaseException:
+        for pid, _ in children:  # their rows are not needed
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        errors = [_reaped(*child) for child in children]
+    for error in errors:
+        if error is not None:
+            raise error
+    return arrays
+
+
+def _forked(fill, arrays, start: int, stop: int) -> tuple[int, int]:
+    """``(pid, fd)``: a forked child that runs ``fill(*arrays, start, stop)``
+    and leaves through ``os._exit``, and the read end of a pipe to which
+    it writes its error, pickled."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            fill(*arrays, start, stop)
+            code = 0
+        except BaseException as exc:
+            try:
+                report = pickle.dumps(exc)
+            except Exception:  # an error that does not pickle, by its text
+                report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(report)
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _reaped(pid: int, read: int) -> BaseException | None:
+    """The error of the child ``pid``, once it has ended, from the pipe
+    ``read``; None if it ended well."""
+    with os.fdopen(read, "rb") as pipe:
+        report = pipe.read()  # to the child's exit
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not code:
+        return None
+    try:
+        return pickle.loads(report)
+    except Exception:  # no report: killed, by the kernel's OOM killer most often
+        return MemoryError(f"a forked worker ended with code {code}")
+
+
+# cdist's and pdist's compiled kernels for each metric, loaded on the first
+# distance of the process; empty when they cannot be loaded, and cdist and
+# pdist serve both metrics
 _KERNELS: dict | None = None
 _KERNELS_LOCK = threading.Lock()
 
@@ -224,34 +359,44 @@ def _extension(name: str, package: str = "spatial"):
 
 
 def _load_kernels() -> dict:
-    """``{metric: f(x, y) -> D}``: the compiled functions that scipy's
-    ``cdist`` calls for cosine and euclidean (``scipy/spatial/distance.py``,
-    scipy 1.17), so D has cdist's bytes. Loading them skips the
-    ``scipy.spatial`` package: 0.45-0.52 s of start-up, 532 modules with
-    its KD-tree, qhull, ``scipy.linalg``, ``scipy.special`` and
-    ``scipy.sparse``, against ~5 ms for a process's first distance.
-    Empty when a module or function is missing, or a first call raises or
-    gives a wrong value: these modules are private to scipy, and older
-    releases may differ."""
+    """``{metric: (rectangular, condensed)}``: the compiled functions that
+    scipy's ``cdist`` and ``pdist`` call for cosine and euclidean
+    (``scipy/spatial/distance.py``, scipy 1.17), ``rectangular(x, y)`` the
+    (len(x), len(y)) distances and ``condensed(x)`` the len(x) (len(x) - 1)
+    / 2 distances of the pairs i < j of rows of ``x``, row by row, with the
+    bytes of cdist and pdist. Loading them skips the ``scipy.spatial``
+    package: 0.45-0.52 s of start-up, 532 modules with its KD-tree, qhull,
+    ``scipy.linalg``, ``scipy.special`` and ``scipy.sparse``, against ~5 ms
+    for a process's first distance. Empty when a module or function is
+    missing, or a first call raises or gives a wrong value: these modules
+    are private to scipy, and older releases may differ."""
     try:
         wrap, pybind = _extension("_distance_wrap"), _extension("_distance_pybind")
         cosine_wrap = wrap.cdist_cosine_double_wrap
+        cosine_pdist_wrap = wrap.pdist_cosine_double_wrap
 
+        # both read their inputs as C-ordered float64, as cdist and pdist pass them
         def cosine(x, y):
             if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
                 raise ValueError(f"cannot pair rows of shapes {x.shape} and {y.shape}")
             D = np.empty((len(x), len(y)))
-            # reads its inputs as C-ordered float64, as cdist passes them
             cosine_wrap(
                 np.ascontiguousarray(x, dtype=np.float64),
                 np.ascontiguousarray(y, dtype=np.float64), D,
             )
             return D
 
-        kernels = {"cosine": cosine, "euclidean": pybind.cdist_euclidean}
+        def cosine_condensed(x):
+            D = np.empty(len(x) * (len(x) - 1) // 2)
+            cosine_pdist_wrap(np.ascontiguousarray(x, dtype=np.float64), D)
+            return D
+
+        kernels = {"cosine": (cosine, cosine_condensed),
+                   "euclidean": (pybind.cdist_euclidean, pybind.pdist_euclidean)}
         probe = np.eye(2)
         for metric, want in (("cosine", 1.0), ("euclidean", math.sqrt(2.0))):
-            if kernels[metric](probe[:1], probe[1:])[0, 0] != want:
+            rectangular, condensed = kernels[metric]
+            if rectangular(probe[:1], probe[1:])[0, 0] != want or condensed(probe)[0] != want:
                 raise ValueError(f"{metric} kernel gives another distance")
     except (ImportError, AttributeError, TypeError, ValueError):
         return {}
@@ -259,7 +404,8 @@ def _load_kernels() -> dict:
 
 
 def _kernel(metric: str):
-    """cdist's compiled kernel for ``metric``, or None where cdist serves it."""
+    """cdist's and pdist's compiled kernels for ``metric``, or None where
+    cdist and pdist serve it."""
     global _KERNELS
     with _KERNELS_LOCK:  # the pool's first blocks may ask at once
         if _KERNELS is None:
@@ -274,10 +420,21 @@ def _distances(x, y, metric: str) -> np.ndarray:
 
         D = cdist(x, y, metric=metric)
     else:
-        D = kernel(x, y)
-    if metric == "cosine":
-        np.clip(D, 0.0, None, out=D)
-    return D
+        D = kernel[0](x, y)
+    return np.maximum(D, 0.0, out=D) if metric == "cosine" else D
+
+
+def _condensed_distances(x, metric: str) -> np.ndarray:
+    """The pairs i < j of the rows of ``x``, row by row: the upper triangle
+    of ``_distances(x, x, metric)`` without its diagonal, bytes included."""
+    kernel = _kernel(metric)
+    if kernel is None:
+        from scipy.spatial.distance import pdist
+
+        D = pdist(x, metric=metric)
+    else:
+        D = kernel[1](x)
+    return np.maximum(D, 0.0, out=D) if metric == "cosine" else D
 
 
 def distance_matrix(x, y, metric: str) -> np.ndarray:
@@ -293,7 +450,7 @@ def distance_matrix(x, y, metric: str) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     y = x if y is x else np.asarray(y, dtype=np.float64)
-    *_, pairs = _in_range(x, y, metric)
+    pairs = _in_range(x, y, metric)[2]
     return pairs(slice(None), slice(None))
 
 
@@ -342,19 +499,22 @@ def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:
 
     ``groups`` is an (n, m) array of row indices, m >= 2. Each group's
     distances are those :func:`distance_matrix` gives the group's rows,
-    and every pair counts once. Rows are brought into range once for the
-    whole of ``x`` rather than once per group.
+    and every pair counts once: one condensed kernel call per group
+    computes each pair i < j once. Rows are brought into range once for
+    the whole of ``x`` rather than once per group, and the groups are
+    split into row ranges over the CPUs (:func:`_on_row_ranges`).
     """
-    *_, pairs = _in_range(x, x, metric)
-    iu = np.triu_indices(groups.shape[1], k=1)
-    means = np.empty(len(groups), dtype=np.float64)
-    with np.errstate(over="ignore"):  # a sum near the float64 maximum, redone below
-        for i, rows in enumerate(groups):
-            means[i] = pairs(rows, rows)[iu].mean()
-    for i in np.flatnonzero(means == np.inf).tolist():
-        D = pairs(groups[i], groups[i])[iu]
-        means[i] = (D / D.size).sum()
-    return means
+    condensed = _in_range(x, x, metric)[3]
+
+    def fill(means: np.ndarray, start: int, stop: int) -> None:
+        with np.errstate(over="ignore"):  # a sum near the float64 maximum, redone below
+            for i in range(start, stop):
+                means[i] = condensed(groups[i]).mean()
+        for i in np.flatnonzero(means[start:stop] == np.inf).tolist():
+            D = condensed(groups[start + i])
+            means[start + i] = (D / D.size).sum()
+
+    return _on_row_ranges(len(groups), [((len(groups),), np.float64)], fill)[0]
 
 
 @dataclass
@@ -436,12 +596,15 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     (distance, index), so the graph's bytes are those of a full sort of
     the exact distances.
 
-    Query rows are taken in blocks. One worker thread computes the next
-    block's product while the calling thread reranks the current one, so
-    the product, which releases the interpreter lock, overlaps the rerank,
-    which holds it; the bytes do not depend on the split, and no thread
-    outlives the call. The scan holds two blocks of float32 values, rows x
-    n each, and a float32 copy of the rows.
+    Query rows are split into one contiguous range per CPU, each ranked
+    by its own process where :func:`_on_row_ranges` forks, and taken in
+    blocks within a range. In each process one worker thread computes the
+    next block's product while the calling thread reranks the current
+    one, so the product, which releases the interpreter lock, overlaps the
+    rerank, which holds it; the bytes do not depend on either split, and
+    no thread or child outlives the call. Each process holds two blocks of
+    float32 values, rows x n each, and all share a float32 copy of the
+    rows.
 
     Parameters
     ----------
@@ -463,7 +626,7 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         raise ValueError(f"need at least 2 fragments, got {n}")
     if metric == "cosine":
         check_cosine_rows(m)
-    X, top, pairs = _in_range(m.values, m.values, metric)
+    X, top, pairs, _ = _in_range(m.values, m.values, metric)
 
     # Why the shortlist is exact. Let A_ij be the value row i is ranked
     # by: the distance pairs reports, in true units, taken in the units of
@@ -538,38 +701,48 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
         a += g * (2.0 * (np.sqrt(sq) + math.sqrt(sq.max())) + g)
         w = 4.0 * b * sq
         Y, sq = Y.astype(np.float32), ((1.0 - 2.0 * b) * sq).astype(np.float32)
-    w_up = w.astype(np.float32)  # w rounded up to float32
-    w_up = np.where(w_up < w, np.nextafter(w_up, np.float32(np.inf)), w_up)
+    w_up = _float32_ceil(w)
 
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
+    _kernel(metric)  # loaded once, before any fork
     k_eff = min(k, n - 1)
-    indices = np.empty((n, k_eff), dtype=np.int64)
-    distances = np.empty((n, k_eff), dtype=np.float64)
     block = min(max(1, _BLOCK_ENTRIES // n), n)
-    # two block buffers, filled in turn and allocated once, so the two live
-    # blocks never cost a third one's memory (one block leaves one untouched)
-    buffers = np.empty((2, block, n), dtype=np.float32)
-    sums = np.empty(n, dtype=np.float32)  # one row's L_ij + w_j, partitioned in place
-    approx = _approximate(Y, sq, 0, block, buffers[0])
-    # the worker fills the other buffer; a single block starts no thread,
-    # and a failed product raises at its result
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for s in range(0, n, block):
-            e = min(s + block, n)
-            ahead = None if e == n else pool.submit(
-                _approximate, Y, sq, e, min(e + block, n), buffers[(e // block) % 2]
-            )
-            for i, row in zip(range(s, e), approx):
-                np.add(row, w_up, out=sums)
-                sums.partition(k_eff - 1)
-                t = float(np.nextafter(sums[k_eff - 1], np.float32(np.inf)))
-                cand = np.flatnonzero(row <= _float32_ceil(t + w[i] + 2.0 * a[i]))
-                dist = pairs(slice(i, i + 1), cand)[0]
-                order = np.argsort(dist, kind="stable")[:k_eff]
-                indices[i] = cand[order]
-                distances[i] = dist[order]
-            approx = ahead.result() if ahead else None
+
+    def scan(indices: np.ndarray, distances: np.ndarray, start: int, stop: int) -> None:
+        size = min(block, stop - start)
+        # two block buffers, filled in turn and allocated once, so the two
+        # live blocks never cost a third one's memory (one block leaves one
+        # untouched)
+        buffers = np.empty((2, size, n), dtype=np.float32)
+        sums = np.empty(n, dtype=np.float32)  # one row's L_ij + w_j, partitioned in place
+        approx = _approximate(Y, sq, start, start + size, buffers[0])
+        # the worker fills the other buffer; a single block starts no
+        # thread, and a failed product raises at its result
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for b, s in enumerate(range(start, stop, size)):
+                e = min(s + size, stop)
+                ahead = None if e == stop else pool.submit(
+                    _approximate, Y, sq, e, min(e + size, stop), buffers[(b + 1) % 2]
+                )
+                kth = np.empty(e - s, dtype=np.float32)
+                for r, row in enumerate(approx):
+                    np.add(row, w_up, out=sums)
+                    sums.partition(k_eff - 1)
+                    kth[r] = sums[k_eff - 1]
+                # t_i, one float32 ulp above the k-th sum, and each row's bound
+                t = np.nextafter(kth, np.float32(np.inf)).astype(np.float64)
+                bounds = _float32_ceil(t + w[s:e] + 2.0 * a[s:e])
+                for i, row, bound in zip(range(s, e), approx, bounds):
+                    cand = np.flatnonzero(row <= bound)
+                    dist = pairs(slice(i, i + 1), cand)[0]
+                    order = np.argsort(dist, kind="stable")[:k_eff]
+                    indices[i] = cand[order]
+                    distances[i] = dist[order]
+                approx = ahead.result() if ahead else None
+
+    shape = (n, k_eff)
+    indices, distances = _on_row_ranges(n, [(shape, np.int64), (shape, np.float64)], scan)
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

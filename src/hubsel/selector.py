@@ -186,7 +186,7 @@ class DenseAffinity:
         # in the order read (a dict keeps it)
         self._rows: dict[int, np.ndarray] = {}
         self._packed: np.ndarray | None = None
-        xs, top, self._pairs = _in_range(values, values, metric)
+        xs, top, self._pairs, _ = _in_range(values, values, metric)
         # a distance is at most twice the largest row norm, taken here in
         # the scaled units of xs, with a factor of 2 for rounding
         if top > 0 and 4.0 * float(np.linalg.norm(xs, axis=1).max()) > math.ldexp(

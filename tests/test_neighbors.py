@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from hubsel import neighbors
+from hubsel import neighbors, stats
 from hubsel.features import FeatureMatrix
 from hubsel.neighbors import (
     NeighborGraph,
@@ -26,7 +26,7 @@ from hubsel.neighbors import (
     pairwise_distance,
     save_graph,
 )
-from helpers import brute_force_knn, manual_distance, random_matrix
+from helpers import brute_force_knn, manual_distance, random_matrix, run_forking
 
 
 class TestPairwiseDistance:
@@ -439,10 +439,11 @@ class TestExactKernel:
         in_range = neighbors._in_range
 
         def counted(*args):
-            xs, top, pairs = in_range(*args)
-            return xs, top, lambda rx, ry: lengths.append(len(ry)) or pairs(rx, ry)
+            xs, top, pairs, condensed = in_range(*args)
+            return xs, top, lambda rx, ry: lengths.append(len(ry)) or pairs(rx, ry), condensed
 
         monkeypatch.setattr(neighbors, "_in_range", counted)
+        monkeypatch.setattr(neighbors, "_workers", lambda: 1)  # counted in this process
         knn_graph(_matrix(values), k, "euclidean")
         assert len(lengths) == n and np.mean(lengths) < k + 1
 
@@ -531,23 +532,38 @@ class TestKernels:
             with pytest.raises(ValueError):
                 neighbors._distances(np.ones((2, 3)), np.ones((2, 4)), "cosine")
 
-    @pytest.mark.parametrize("fault", ["missing module", "missing function", "TypeError", "value"])
+    @pytest.mark.parametrize(
+        "fault", ["missing module", "missing function", "TypeError", "value", "condensed value"]
+    )
     def test_kernels_that_fail_fall_back_to_cdist(self, monkeypatch, fault):
         def wrong_call(*args):
             raise TypeError("incompatible function arguments")
+
+        extension_of = neighbors._extension
 
         def extension(name):
             if fault == "missing module":
                 raise ImportError(f"no {name}")
             if fault == "missing function":
                 return types.SimpleNamespace()
+            if fault == "condensed value":  # cdist's kernels, and pdist's giving 0.5
+                real = extension_of(name)
+                return types.SimpleNamespace(
+                    cdist_cosine_double_wrap=getattr(real, "cdist_cosine_double_wrap", None),
+                    cdist_euclidean=getattr(real, "cdist_euclidean", None),
+                    pdist_cosine_double_wrap=lambda x, out: out.fill(0.5),
+                    pdist_euclidean=lambda x: np.full(len(x) * (len(x) - 1) // 2, 0.5),
+                )
             if fault == "TypeError":
                 return types.SimpleNamespace(
-                    cdist_cosine_double_wrap=wrong_call, cdist_euclidean=wrong_call
+                    cdist_cosine_double_wrap=wrong_call, cdist_euclidean=wrong_call,
+                    pdist_cosine_double_wrap=wrong_call, pdist_euclidean=wrong_call,
                 )
             return types.SimpleNamespace(
                 cdist_cosine_double_wrap=lambda x, y, out: out.fill(0.5),
                 cdist_euclidean=lambda x, y: np.full((len(x), len(y)), 0.5),
+                pdist_cosine_double_wrap=lambda x, out: out.fill(0.5),
+                pdist_euclidean=lambda x: np.full(len(x) * (len(x) - 1) // 2, 0.5),
             )
 
         monkeypatch.setattr(neighbors, "_extension", extension)
@@ -555,6 +571,8 @@ class TestKernels:
         x = np.random.default_rng(40).standard_normal((9, 4))
         for metric in ("cosine", "euclidean"):
             assert distance_matrix(x, x, metric).tobytes() == _cdist(x, x, metric).tobytes()
+            condensed = neighbors._condensed_distances(x, metric)
+            assert condensed.tobytes() == _cdist(x, x, metric)[np.triu_indices(9, k=1)].tobytes()
         assert neighbors._KERNELS == {}
 
     def test_kernels_loaded_before_and_after_the_package(self):
@@ -581,6 +599,168 @@ for m in neighbors.METRICS:
         subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True
         )
+
+
+class TestCondensed:
+    """The condensed kernels: each pair i < j once, with the bytes of the
+    rectangular kernels' upper triangle."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_random_groups_give_the_rectangular_upper_triangle(self, distance_paths, metric):
+        rng = np.random.default_rng(45)
+        for _ in distance_paths():
+            for _ in range(150):
+                m, d = int(rng.integers(2, 40)), int(rng.integers(1, 300))
+                x = rng.normal(rng.normal(), 1.0, (m, d)) * 10.0 ** rng.integers(-150, 151)
+                x[rng.integers(0, m, m // 3)] = x[0]  # tied pairs
+                if rng.random() < 0.3:
+                    x = np.round(x * 4.0 / np.abs(x).max()) + 1.0  # lattice rows, many ties
+                want = neighbors._distances(x, x, metric)[np.triu_indices(m, k=1)]
+                assert neighbors._condensed_distances(x, metric).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_range_rule_rewrites_the_same_pairs(self, distance_paths, metric):
+        # rows near 1e200 put the others below the normal range under the
+        # common factor, and rows near 2^-530 below that again: the
+        # condensed pairs take each level's rewrite at their own places
+        rng = np.random.default_rng(46)
+        values = rng.normal(1.0, 1.0, (24, 5))
+        values[::5] *= 1e200
+        values[1::7] *= math.ldexp(1.0, -530)
+        _, _, pairs, condensed = neighbors._in_range(values, values, metric)
+        for _ in distance_paths():
+            for rows in (np.arange(24), rng.permutation(24)[:9], np.array([3, 0]), np.array([7])):
+                want = pairs(rows, rows)[np.triu_indices(len(rows), k=1)]
+                assert condensed(rows).tobytes() == want.tobytes()
+
+    def test_diversity_makes_one_condensed_call_per_group(self, monkeypatch):
+        counts = {"rectangular": 0, "condensed": []}
+        distances, condensed = neighbors._distances, neighbors._condensed_distances
+
+        def counted_rectangular(*args):
+            counts["rectangular"] += 1
+            return distances(*args)
+
+        def counted_condensed(x, metric):
+            counts["condensed"].append(len(x))
+            return condensed(x, metric)
+
+        m = _matrix(np.random.default_rng(47).normal(1.0, 1.0, (200, 8)))
+        g = knn_graph(m, 40, "euclidean")
+        monkeypatch.setattr(neighbors, "_workers", lambda: 1)  # counted in this process
+        monkeypatch.setattr(neighbors, "_distances", counted_rectangular)
+        monkeypatch.setattr(neighbors, "_condensed_distances", counted_condensed)
+        means = stats.diversity(m, g, 30).values
+        assert counts == {"rectangular": 0, "condensed": [30] * 200}
+        D = distance_matrix(m.values, m.values, "euclidean")
+        assert means.tolist() == [
+            D[np.ix_(r, r)][np.triu_indices(30, k=1)].mean() for r in g.indices[:, :30]
+        ]
+
+
+def test_float32_ceil_rounds_each_value_up():
+    f32 = np.finfo(np.float32)
+    v = np.array([
+        0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 1.5, float(f32.tiny) / 3.0, 1e-300,
+        float(f32.max), float(f32.max) * (1.0 + 2.0**-30), 1e300, np.inf, -np.inf,
+    ])
+    up = neighbors._float32_ceil(v)
+    assert up.dtype == np.float32
+    for value, got in zip(v.tolist(), up.tolist()):
+        # the smallest float32 at or above the value
+        assert got >= value
+        below = float(np.nextafter(np.float32(got), np.float32(-np.inf)))
+        assert below < value or got == -np.inf
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="row ranges fork on Linux only")
+class TestRowRanges:
+    """The kNN scan and diversity split their rows over forked processes."""
+
+    # graphs and group means of in-range and extreme-magnitude rows, on
+    # both distance paths, as one digest, and the forks they took
+    CODE = """
+import hashlib
+import itertools
+import math
+import numpy as np
+from hubsel.features import FeatureMatrix
+rng = np.random.default_rng(48)
+values = rng.normal(1.0, 1.0, (61, 6))
+extreme = np.array([[1e200, 0.0], [3.0, 4.0], [8e307, 0.0], [0.0, -8e307],
+                    [math.ldexp(3.0, -530), 0.0], [0.0, math.ldexp(1.0, -530)], [0.0, 0.0]])
+groups = np.array(list(itertools.combinations(range(7), 3)))
+digest = hashlib.sha256()
+for handle in (neighbors._load_kernels(), {}):
+    neighbors._KERNELS = handle
+    for metric in neighbors.METRICS:
+        g = neighbors.knn_graph(FeatureMatrix(ids=[str(i) for i in range(61)], values=values),
+                                12, metric)
+        means = neighbors.group_mean_distances(values, g.indices[:, :5], metric)
+        digest.update(g.indices.tobytes() + g.distances.tobytes() + means.tobytes())
+    digest.update(neighbors.group_mean_distances(extreme, groups, "euclidean").tobytes())
+    digest.update(neighbors.group_mean_distances(extreme[:6] + 1.0, groups % 6, "cosine").tobytes())
+print(digest.hexdigest(), len(forks))
+"""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_process_count_gives_the_bytes_of_one_process(self, workers):
+        serial = run_forking("neighbors._FORK_MIN_ROWS = 10**9\n" + self.CODE, 1)
+        forked = run_forking(self.CODE, workers)
+        assert serial.returncode == forked.returncode == 0, serial.stderr + forked.stderr
+        digest, forks = forked.stdout.split()
+        assert serial.stdout.split() == [digest, "0"]
+        # on each distance path: 2 graphs, their 2 means and 2 extreme means
+        assert int(forks) == 12 * (workers - 1)
+
+    def test_a_child_error_reaches_the_caller_and_no_child_is_left(self):
+        code = """
+import numpy as np
+from hubsel.features import FeatureMatrix
+parent = os.getpid()
+
+def in_children(real, message):
+    def call(*args):
+        if os.getpid() != parent:
+            raise MemoryError(message)
+        return real(*args)
+    return call
+
+over = np.array([[1.0, 0.0]] * 9 + [[1.5e308, 0.0], [-1.5e308, 0.0]])
+values = np.random.default_rng(49).normal(1.0, 1.0, (30, 4))
+groups = np.array([[i, i + 1] for i in range(10)])  # of over, only the last group overflows
+condensed, approximate = neighbors._condensed_distances, neighbors._approximate
+for name, call in (
+    ("overflow", lambda: neighbors.group_mean_distances(over, groups, "euclidean")),
+    ("diversity", lambda: neighbors.group_mean_distances(values, groups, "cosine")),
+    ("scan", lambda: neighbors.knn_graph(FeatureMatrix([str(i) for i in range(30)], values), 5)),
+):
+    if name == "diversity":
+        neighbors._condensed_distances = in_children(condensed, "Unable to allocate 1.0 KiB")
+    if name == "scan":
+        neighbors._approximate = in_children(approximate, "Unable to allocate 2.2 KiB")
+    before = len(forks)
+    try:
+        call()
+    except (ValueError, MemoryError) as exc:
+        print(name, type(exc).__name__, exc, len(forks) > before)
+    neighbors._condensed_distances, neighbors._approximate = condensed, approximate
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        print(name, "left a child")
+"""
+        for workers in (2, 3):
+            run = run_forking(code, workers)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.splitlines() == [
+                "overflow ValueError a euclidean distance exceeds the float64 maximum "
+                "(about 1.8e308) True",
+                "diversity MemoryError Unable to allocate 1.0 KiB True",
+                "scan MemoryError Unable to allocate 2.2 KiB True",
+            ]
 
 
 _EXPONENT_KINDS = (st.integers(-1074, -1066), st.integers(-4, 4), st.integers(1000, 1010))

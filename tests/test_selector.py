@@ -412,8 +412,8 @@ class TestDenseAffinity:
         in_range = selector._in_range
 
         def counted(*args):
-            xs, top, pairs = in_range(*args)
-            return xs, top, lambda rx, ry: calls.append((rx, ry)) or pairs(rx, ry)
+            xs, top, pairs, condensed = in_range(*args)
+            return xs, top, lambda rx, ry: calls.append((rx, ry)) or pairs(rx, ry), condensed
 
         monkeypatch.setattr(selector, "_in_range", counted)
         p = build_problem(hub, lid, m, "cosine", k)
