@@ -17,23 +17,14 @@ powers of two. :func:`unit_rows` gives every unit row, and ``pairs`` of
 ``_in_range`` every distance, in true units; graphs are ranked in them.
 Distances come from the compiled kernels of scipy's ``cdist`` and
 ``pdist`` alone.
-
-The scan and the group means of :func:`group_mean_distances` hold the
-interpreter lock row by row, so they split their rows into one
-contiguous range per CPU, each filled by its own forked process into a
-shared mapping (:func:`_on_row_ranges`); no byte depends on the split.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
-import mmap
 import os
-import pickle
-import signal
 import sys
 import threading
 import zipfile
@@ -210,122 +201,12 @@ def _scaled_back(D: np.ndarray, level: int) -> np.ndarray:
 
 
 def _workers() -> int:
-    """One per CPU the process may run on: the threads of
-    :func:`packed_distances`, and the parts of :func:`_on_row_ranges`."""
+    """Threads for the blocks of :func:`packed_distances`: one per CPU the
+    process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-# Rows below which :func:`_on_row_ranges` forks no process. A fork and its
-# exit cost about 2 ms, and the copies of the pages either process writes
-# after it more: at 2000 rows a forked scan or diversity was 5-15 ms slower
-# where only one CPU was free, against 20-50 us a row on one CPU.
-_FORK_MIN_ROWS = 2000
-
-
-def _single_threaded() -> bool:
-    """Whether the process runs one thread, a BLAS pool's included, on
-    Linux: a fork then copies no lock that another thread holds, and
-    Python 3.12 on warns of nothing."""
-    if sys.platform != "linux" or threading.active_count() != 1:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _on_row_ranges(n: int, outputs, fill) -> list[np.ndarray]:
-    """Arrays of the ``(shape, dtype)`` pairs of ``outputs``, each of n
-    rows, with ``fill(*arrays, start, stop)`` run on every row range of a
-    split of range(n) into :func:`_workers` contiguous parts. ``fill``
-    writes rows start:stop of each array and reads no other row of them,
-    so the bytes do not depend on the split.
-
-    This process fills the first range, and a forked child each other one,
-    into arrays held in one anonymous shared mapping. A child's error
-    reaches the caller with its type and message, the first range's first;
-    no child outlives the call. Below ``_FORK_MIN_ROWS`` rows, off Linux,
-    or with a second thread running, this process fills all n rows into
-    arrays of its own."""
-    if n < _FORK_MIN_ROWS or not _single_threaded() or (parts := min(_workers(), n)) < 2:
-        arrays = [np.empty(shape, dtype) for shape, dtype in outputs]
-        fill(*arrays, 0, n)
-        return arrays
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in outputs]
-    shared = mmap.mmap(-1, max(sum(sizes), 1))
-    arrays = [
-        np.frombuffer(shared, dtype, math.prod(shape), offset).reshape(shape)
-        for (shape, dtype), offset in zip(outputs, itertools.accumulate(sizes, initial=0))
-    ]
-    bounds = [n * p // parts for p in range(parts + 1)]
-    children, stop = [], n  # (pid, read end of its error pipe); the rows left to this process
-    try:
-        for p in range(1, parts):
-            try:
-                children.append(_forked(fill, arrays, bounds[p], bounds[p + 1]))
-            except OSError:  # no process to be had: this one fills the rest
-                stop = bounds[p]
-                break
-        fill(*arrays, 0, bounds[1])
-        if stop < n:
-            fill(*arrays, stop, n)
-    except BaseException:
-        for pid, _ in children:  # their rows are not needed
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        errors = [_reaped(*child) for child in children]
-    for error in errors:
-        if error is not None:
-            raise error
-    return arrays
-
-
-def _forked(fill, arrays, start: int, stop: int) -> tuple[int, int]:
-    """``(pid, fd)``: a forked child that runs ``fill(*arrays, start, stop)``
-    and leaves through ``os._exit``, and the read end of a pipe to which
-    it writes its error, pickled."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            fill(*arrays, start, stop)
-            code = 0
-        except BaseException as exc:
-            try:
-                report = pickle.dumps(exc)
-            except Exception:  # an error that does not pickle, by its text
-                report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            with os.fdopen(write, "wb") as pipe:
-                pipe.write(report)
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, read
-
-
-def _reaped(pid: int, read: int) -> BaseException | None:
-    """The error of the child ``pid``, once it has ended, from the pipe
-    ``read``; None if it ended well."""
-    with os.fdopen(read, "rb") as pipe:
-        report = pipe.read()  # to the child's exit
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if not code:
-        return None
-    try:
-        return pickle.loads(report)
-    except Exception:  # no report: killed, by the kernel's OOM killer most often
-        return MemoryError(f"a forked worker ended with code {code}")
 
 
 # cdist's and pdist's compiled kernels for each metric, loaded on the first
@@ -501,20 +382,17 @@ def group_mean_distances(x, groups: np.ndarray, metric: str) -> np.ndarray:
     distances are those :func:`distance_matrix` gives the group's rows,
     and every pair counts once: one condensed kernel call per group
     computes each pair i < j once. Rows are brought into range once for
-    the whole of ``x`` rather than once per group, and the groups are
-    split into row ranges over the CPUs (:func:`_on_row_ranges`).
+    the whole of ``x`` rather than once per group.
     """
     condensed = _in_range(x, x, metric)[3]
-
-    def fill(means: np.ndarray, start: int, stop: int) -> None:
-        with np.errstate(over="ignore"):  # a sum near the float64 maximum, redone below
-            for i in range(start, stop):
-                means[i] = condensed(groups[i]).mean()
-        for i in np.flatnonzero(means[start:stop] == np.inf).tolist():
-            D = condensed(groups[start + i])
-            means[start + i] = (D / D.size).sum()
-
-    return _on_row_ranges(len(groups), [((len(groups),), np.float64)], fill)[0]
+    means = np.empty(len(groups), dtype=np.float64)
+    with np.errstate(over="ignore"):  # a sum near the float64 maximum, redone below
+        for i, rows in enumerate(groups):
+            means[i] = condensed(rows).mean()
+    for i in np.flatnonzero(means == np.inf).tolist():
+        D = condensed(groups[i])
+        means[i] = (D / D.size).sum()
+    return means
 
 
 @dataclass
@@ -596,15 +474,12 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     (distance, index), so the graph's bytes are those of a full sort of
     the exact distances.
 
-    Query rows are split into one contiguous range per CPU, each ranked
-    by its own process where :func:`_on_row_ranges` forks, and taken in
-    blocks within a range. In each process one worker thread computes the
-    next block's product while the calling thread reranks the current
-    one, so the product, which releases the interpreter lock, overlaps the
-    rerank, which holds it; the bytes do not depend on either split, and
-    no thread or child outlives the call. Each process holds two blocks of
-    float32 values, rows x n each, and all share a float32 copy of the
-    rows.
+    Query rows are taken in blocks. One worker thread computes the next
+    block's product while the calling thread reranks the current one, so
+    the product, which releases the interpreter lock, overlaps the rerank,
+    which holds it; the bytes do not depend on the split, and no thread
+    outlives the call. The scan holds two blocks of float32 values, rows x
+    n each, and a float32 copy of the rows.
 
     Parameters
     ----------
@@ -705,44 +580,38 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
 
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
-    _kernel(metric)  # loaded once, before any fork
     k_eff = min(k, n - 1)
+    indices = np.empty((n, k_eff), dtype=np.int64)
+    distances = np.empty((n, k_eff), dtype=np.float64)
     block = min(max(1, _BLOCK_ENTRIES // n), n)
-
-    def scan(indices: np.ndarray, distances: np.ndarray, start: int, stop: int) -> None:
-        size = min(block, stop - start)
-        # two block buffers, filled in turn and allocated once, so the two
-        # live blocks never cost a third one's memory (one block leaves one
-        # untouched)
-        buffers = np.empty((2, size, n), dtype=np.float32)
-        sums = np.empty(n, dtype=np.float32)  # one row's L_ij + w_j, partitioned in place
-        approx = _approximate(Y, sq, start, start + size, buffers[0])
-        # the worker fills the other buffer; a single block starts no
-        # thread, and a failed product raises at its result
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for b, s in enumerate(range(start, stop, size)):
-                e = min(s + size, stop)
-                ahead = None if e == stop else pool.submit(
-                    _approximate, Y, sq, e, min(e + size, stop), buffers[(b + 1) % 2]
-                )
-                kth = np.empty(e - s, dtype=np.float32)
-                for r, row in enumerate(approx):
-                    np.add(row, w_up, out=sums)
-                    sums.partition(k_eff - 1)
-                    kth[r] = sums[k_eff - 1]
-                # t_i, one float32 ulp above the k-th sum, and each row's bound
-                t = np.nextafter(kth, np.float32(np.inf)).astype(np.float64)
-                bounds = _float32_ceil(t + w[s:e] + 2.0 * a[s:e])
-                for i, row, bound in zip(range(s, e), approx, bounds):
-                    cand = np.flatnonzero(row <= bound)
-                    dist = pairs(slice(i, i + 1), cand)[0]
-                    order = np.argsort(dist, kind="stable")[:k_eff]
-                    indices[i] = cand[order]
-                    distances[i] = dist[order]
-                approx = ahead.result() if ahead else None
-
-    shape = (n, k_eff)
-    indices, distances = _on_row_ranges(n, [(shape, np.int64), (shape, np.float64)], scan)
+    # two block buffers, filled in turn and allocated once, so the two live
+    # blocks never cost a third one's memory (one block leaves one untouched)
+    buffers = np.empty((2, block, n), dtype=np.float32)
+    sums = np.empty(n, dtype=np.float32)  # one row's L_ij + w_j, partitioned in place
+    approx = _approximate(Y, sq, 0, block, buffers[0])
+    # the worker fills the other buffer; a single block starts no thread,
+    # and a failed product raises at its result
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            ahead = None if e == n else pool.submit(
+                _approximate, Y, sq, e, min(e + block, n), buffers[(e // block) % 2]
+            )
+            kth = np.empty(e - s, dtype=np.float32)
+            for r, row in enumerate(approx):
+                np.add(row, w_up, out=sums)
+                sums.partition(k_eff - 1)
+                kth[r] = sums[k_eff - 1]
+            # t_i, one float32 ulp above the k-th sum, and each row's bound
+            t = np.nextafter(kth, np.float32(np.inf)).astype(np.float64)
+            bounds = _float32_ceil(t + w[s:e] + 2.0 * a[s:e])
+            for i, row, bound in zip(range(s, e), approx, bounds):
+                cand = np.flatnonzero(row <= bound)
+                dist = pairs(slice(i, i + 1), cand)[0]
+                order = np.argsort(dist, kind="stable")[:k_eff]
+                indices[i] = cand[order]
+                distances[i] = dist[order]
+            approx = ahead.result() if ahead else None
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

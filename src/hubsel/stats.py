@@ -156,8 +156,7 @@ def diversity(m, g: NeighborGraph, m_nbr: int = 30) -> DiversityProfile:
     For every fragment the first min(m_nbr, available) neighbors are
     taken and the mean of all pairwise distances between them (under the
     graph's metric) is reported: each of the m (m - 1) / 2 pairs computed
-    once by one condensed kernel call per fragment, with the fragments
-    split into row ranges over forked processes where the CPUs allow
+    once by one condensed kernel call per fragment
     (:func:`hubsel.neighbors.group_mean_distances`). Fragments with fewer
     than two neighbors get diversity 0.
     """

@@ -2,16 +2,11 @@
 
 Distances are recomputed from their definitions (broadcast differences,
 normalized dot products), neighbor lists by full sorts with explicit
-index tie keys, subset optima by exhaustive enumeration. ``run_forking``
-runs code in a process where the kNN scan and diversity fork.
+index tie keys, subset optima by exhaustive enumeration.
 """
 
 import itertools
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -62,40 +57,6 @@ def subset_objective(h, d, a, subset, k):
     lin = sum(h[i] for i in subset) / k - sum(d[i] for i in subset) / k
     quad = sum(a[i][j] for i in subset for j in subset if i != j) / (k * (k - 1))
     return lin + quad
-
-
-# run_forking's prelude: the row ranges of hubsel.neighbors fork at any row
-# count, and every fork of the process is counted in ``forks``
-_FORKING = """
-import os, sys
-from hubsel import cli, neighbors
-assert neighbors._single_threaded(), "a second thread runs: no row range would fork"
-forks = []
-def _counted(fork=os.fork):
-    pid = fork()
-    if pid:
-        forks.append(pid)
-    return pid
-os.fork = _counted
-neighbors._workers = lambda: {workers}
-neighbors._FORK_MIN_ROWS = 0
-"""
-
-
-def run_forking(code, workers, *args):
-    """Run ``code`` with ``args`` in ``sys.argv[1:]`` in a new Python
-    process of one thread (one BLAS thread) on Linux, where the row ranges
-    of ``hubsel.neighbors`` split into ``workers`` parts and fork at any row
-    count. ``code`` sees ``cli``, ``neighbors`` and ``forks``, the pids
-    forked; a fork with threads running fails it as a DeprecationWarning
-    on Python 3.12 on. The CompletedProcess, with text stdout and stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run(
-        [sys.executable, "-W", "error::DeprecationWarning", "-c",
-         _FORKING.format(workers=workers) + code, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
 
 
 def best_subset(h, d, a, k):

@@ -8,7 +8,6 @@ once per session.
 """
 
 import json
-import sys
 import time
 
 import numpy as np
@@ -36,7 +35,6 @@ from helpers import (
     brute_force_knn,
     random_matrix,
     random_selection_problem,
-    run_forking,
 )
 
 INITS = ("hub_first", "lid_first", "uniform")
@@ -324,9 +322,8 @@ def test_criterion_09_evaluation_fixtures():
 
 
 def test_criterion_10_determinism(tmp_path_factory, monkeypatch):
-    """Byte-identical pipeline outputs across reruns, ``--threads`` values,
-    process counts of the kNN scan and diversity, and worker counts of the
-    dense affinity pass."""
+    """Byte-identical pipeline outputs across reruns, ``--threads`` values
+    and worker counts of the dense affinity pass."""
     t0 = time.perf_counter()
     root = tmp_path_factory.mktemp("determinism")
     m = gaussian_cloud(np.random.default_rng(4), 3000, 8)
@@ -346,37 +343,8 @@ def test_criterion_10_determinism(tmp_path_factory, monkeypatch):
     assert cli.main(["analyze", str(feat), "--out", str(d), "--threads", "1"]) == 0
     assert {nm: (d / nm).read_bytes() for nm in names} == analyze["t1"]
 
-    # the kNN scan and diversity split their rows over _workers() forked
-    # processes: every output file, stdout, stderr and exit code as in one
-    # process, analyze's as above
-    code = """
-from pathlib import Path
-feat, out = sys.argv[1], Path(sys.argv[2])
-codes = [
-    cli.main(["analyze", feat, "--out", str(out / "analyze")]),
-    cli.main(["select", feat, "--k", "10", "--mode", "knn-sparse", "--init", "uniform",
-              "--out", str(out / "solution.json"), "--trace", str(out / "trace.csv")]),
-]
-print(codes, len(forks))
-"""
-    forked = []
-    for workers in (1, 2, 3) if sys.platform == "linux" else ():  # forks on Linux only
-        out = root / f"forked_{workers}"
-        run = run_forking(code, workers, feat, out)
-        files = {p.relative_to(out).as_posix(): p.read_bytes()
-                 for p in out.rglob("*") if p.is_file()}
-        *stdout, last = run.stdout.splitlines()
-        # analyze's scan and diversity and select's scan fork workers - 1 each
-        assert last == f"[0, 0] {3 * (workers - 1)}", run.stderr
-        forked.append((run.returncode, stdout, run.stderr, files))
-    assert all(r == forked[0] for r in forked)
-    if forked:
-        assert {nm: forked[0][3][f"analyze/{nm}"] for nm in names} == analyze["t1"]
-
     # a hub-first select computes the rows it reads; a uniform one reads
-    # past n / 4 of them and builds the whole matrix on a pool of _workers();
-    # the scan takes one process, so _workers() counts the dense pass alone
-    monkeypatch.setattr(neighbors, "_FORK_MIN_ROWS", m.n + 1)
+    # past n / 4 of them and builds the whole matrix on a pool of _workers()
     solutions = {"hub-first": [], "uniform": []}
     for tag, threads, workers in (("t1", 1, 1), ("t8", 8, 3), ("t1-rerun", 1, 2)):
         pools = []
@@ -396,7 +364,7 @@ print(codes, len(forks))
     elapsed = time.perf_counter() - t0
     print(
         f"ACCEPTANCE 10: PASS - analyze and hub-first and uniform select outputs "
-        f"byte-identical across reruns at threads 1 and 8, scan and diversity "
-        f"processes 1, 2 and 3 and dense-affinity workers 1, 2 and 3, "
+        f"byte-identical across reruns at threads 1 and 8 and dense-affinity "
+        f"workers 1, 2 and 3, "
         f"{elapsed:.1f}s"
     )

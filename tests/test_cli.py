@@ -16,7 +16,7 @@ import pytest
 
 from hubsel import cli, evaluation, features, neighbors, selector, stats
 from hubsel.evaluation import Ranking
-from helpers import random_matrix, run_forking, write_fbin
+from helpers import random_matrix, write_fbin
 
 
 @pytest.fixture(scope="module")
@@ -1515,49 +1515,6 @@ def test_failing_scan_product_exits_1_and_leaves_no_thread(
     assert workers == [True]
     assert not out.exists()
     assert threading.active_count() == before
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="row ranges fork on Linux only")
-def test_a_forked_range_that_fails_exits_1_and_leaves_no_child(tmp_path):
-    """An error in the rows of a forked process reaches ``main`` with its
-    type and message: a euclidean distance beyond the float64 maximum in
-    the last range exits 1 as in one process, and so does a MemoryError
-    in any child's scan. No child outlives the command."""
-    m = random_matrix(np.random.default_rng(50), 40, 4)
-    values = m.values.copy()
-    values[-2:] = 0.0
-    values[-2:, 0] = [1.5e308, -1.5e308]  # only the last two rows' pair overflows
-    over, feat = tmp_path / "over.csv", tmp_path / "features.csv"
-    features.save_features(features.FeatureMatrix(m.ids, values), over)
-    features.save_features(m, feat)
-    code = """
-parent = os.getpid()
-if sys.argv[1] == "scan":
-    approximate = neighbors._approximate
-
-    def in_children(*args):
-        if os.getpid() != parent:
-            raise MemoryError("Unable to allocate 2.2 KiB")
-        return approximate(*args)
-
-    neighbors._approximate = in_children
-code = cli.main(sys.argv[2:])
-try:
-    os.waitpid(-1, os.WNOHANG)
-except ChildProcessError:
-    print(code, len(forks))
-"""
-    overflow = "error: a euclidean distance exceeds the float64 maximum (about 1.8e308)\n"
-    oom = "error: out of memory (Unable to allocate 2.2 KiB)\n"
-    for workers in (1, 2, 3):
-        run = run_forking(code, workers, "overflow", "analyze", over, "--out", tmp_path / "a",
-                          "--metric", "euclidean")
-        assert (run.stdout, run.stderr) == (f"1 {workers - 1}\n", overflow)
-    for workers in (2, 3):
-        run = run_forking(code, workers, "scan", "select", feat, "--k", "5", "--mode",
-                          "knn-sparse", "--out", tmp_path / "s.json")
-        assert (run.stdout, run.stderr) == (f"1 {workers - 1}\n", oom)
-    assert not (tmp_path / "a" / "profile.csv").exists() and not (tmp_path / "s.json").exists()
 
 
 def test_failing_affinity_block_exits_1_and_leaves_no_thread(

@@ -26,7 +26,7 @@ from hubsel.neighbors import (
     pairwise_distance,
     save_graph,
 )
-from helpers import brute_force_knn, manual_distance, random_matrix, run_forking
+from helpers import brute_force_knn, manual_distance, random_matrix
 
 
 class TestPairwiseDistance:
@@ -443,7 +443,6 @@ class TestExactKernel:
             return xs, top, lambda rx, ry: lengths.append(len(ry)) or pairs(rx, ry), condensed
 
         monkeypatch.setattr(neighbors, "_in_range", counted)
-        monkeypatch.setattr(neighbors, "_workers", lambda: 1)  # counted in this process
         knn_graph(_matrix(values), k, "euclidean")
         assert len(lengths) == n and np.mean(lengths) < k + 1
 
@@ -647,7 +646,6 @@ class TestCondensed:
 
         m = _matrix(np.random.default_rng(47).normal(1.0, 1.0, (200, 8)))
         g = knn_graph(m, 40, "euclidean")
-        monkeypatch.setattr(neighbors, "_workers", lambda: 1)  # counted in this process
         monkeypatch.setattr(neighbors, "_distances", counted_rectangular)
         monkeypatch.setattr(neighbors, "_condensed_distances", counted_condensed)
         means = stats.diversity(m, g, 30).values
@@ -671,96 +669,6 @@ def test_float32_ceil_rounds_each_value_up():
         assert got >= value
         below = float(np.nextafter(np.float32(got), np.float32(-np.inf)))
         assert below < value or got == -np.inf
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="row ranges fork on Linux only")
-class TestRowRanges:
-    """The kNN scan and diversity split their rows over forked processes."""
-
-    # graphs and group means of in-range and extreme-magnitude rows, on
-    # both distance paths, as one digest, and the forks they took
-    CODE = """
-import hashlib
-import itertools
-import math
-import numpy as np
-from hubsel.features import FeatureMatrix
-rng = np.random.default_rng(48)
-values = rng.normal(1.0, 1.0, (61, 6))
-extreme = np.array([[1e200, 0.0], [3.0, 4.0], [8e307, 0.0], [0.0, -8e307],
-                    [math.ldexp(3.0, -530), 0.0], [0.0, math.ldexp(1.0, -530)], [0.0, 0.0]])
-groups = np.array(list(itertools.combinations(range(7), 3)))
-digest = hashlib.sha256()
-for handle in (neighbors._load_kernels(), {}):
-    neighbors._KERNELS = handle
-    for metric in neighbors.METRICS:
-        g = neighbors.knn_graph(FeatureMatrix(ids=[str(i) for i in range(61)], values=values),
-                                12, metric)
-        means = neighbors.group_mean_distances(values, g.indices[:, :5], metric)
-        digest.update(g.indices.tobytes() + g.distances.tobytes() + means.tobytes())
-    digest.update(neighbors.group_mean_distances(extreme, groups, "euclidean").tobytes())
-    digest.update(neighbors.group_mean_distances(extreme[:6] + 1.0, groups % 6, "cosine").tobytes())
-print(digest.hexdigest(), len(forks))
-"""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_any_process_count_gives_the_bytes_of_one_process(self, workers):
-        serial = run_forking("neighbors._FORK_MIN_ROWS = 10**9\n" + self.CODE, 1)
-        forked = run_forking(self.CODE, workers)
-        assert serial.returncode == forked.returncode == 0, serial.stderr + forked.stderr
-        digest, forks = forked.stdout.split()
-        assert serial.stdout.split() == [digest, "0"]
-        # on each distance path: 2 graphs, their 2 means and 2 extreme means
-        assert int(forks) == 12 * (workers - 1)
-
-    def test_a_child_error_reaches_the_caller_and_no_child_is_left(self):
-        code = """
-import numpy as np
-from hubsel.features import FeatureMatrix
-parent = os.getpid()
-
-def in_children(real, message):
-    def call(*args):
-        if os.getpid() != parent:
-            raise MemoryError(message)
-        return real(*args)
-    return call
-
-over = np.array([[1.0, 0.0]] * 9 + [[1.5e308, 0.0], [-1.5e308, 0.0]])
-values = np.random.default_rng(49).normal(1.0, 1.0, (30, 4))
-groups = np.array([[i, i + 1] for i in range(10)])  # of over, only the last group overflows
-condensed, approximate = neighbors._condensed_distances, neighbors._approximate
-for name, call in (
-    ("overflow", lambda: neighbors.group_mean_distances(over, groups, "euclidean")),
-    ("diversity", lambda: neighbors.group_mean_distances(values, groups, "cosine")),
-    ("scan", lambda: neighbors.knn_graph(FeatureMatrix([str(i) for i in range(30)], values), 5)),
-):
-    if name == "diversity":
-        neighbors._condensed_distances = in_children(condensed, "Unable to allocate 1.0 KiB")
-    if name == "scan":
-        neighbors._approximate = in_children(approximate, "Unable to allocate 2.2 KiB")
-    before = len(forks)
-    try:
-        call()
-    except (ValueError, MemoryError) as exc:
-        print(name, type(exc).__name__, exc, len(forks) > before)
-    neighbors._condensed_distances, neighbors._approximate = condensed, approximate
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        pass
-    else:
-        print(name, "left a child")
-"""
-        for workers in (2, 3):
-            run = run_forking(code, workers)
-            assert run.returncode == 0, run.stderr
-            assert run.stdout.splitlines() == [
-                "overflow ValueError a euclidean distance exceeds the float64 maximum "
-                "(about 1.8e308) True",
-                "diversity MemoryError Unable to allocate 1.0 KiB True",
-                "scan MemoryError Unable to allocate 2.2 KiB True",
-            ]
 
 
 _EXPONENT_KINDS = (st.integers(-1074, -1066), st.integers(-4, 4), st.integers(1000, 1010))
