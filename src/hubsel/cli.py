@@ -5,6 +5,9 @@ outputs: the parsed matrix, the kNN graph and the diversity, keyed on the
 file's SHA-256. Its reruns, and select and solver-mode rank given that
 ``profile.csv``, read it in place of the file, with the same outputs.
 
+Each command imports only the layers it runs, when it runs: ``eval`` and
+``--help`` load no numpy, only the standard library and ``table``.
+
 Exit codes follow one convention across subcommands: 0 on success
 (including a solver run that stops without converging), 1 on domain
 errors (mismatched ids, invalid budgets, unknown modes, missing ground
@@ -23,16 +26,26 @@ affinity mask, with outputs that do not depend on either. A value below
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import os
 import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
+from hubsel import METRICS, table
 
-from hubsel import evaluation, features, neighbors, selector, stats, table
+# the layers the commands import as they run; ``cli.<layer>`` still reads
+# each, for callers that patch a layer's functions through it
+# (perfbench/tracing.py)
+_LAYERS = ("evaluation", "features", "neighbors", "selector", "stats")
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:
+        return importlib.import_module(f"hubsel.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _INIT_NAMES = {"hub-first": "hub_first", "lid-first": "lid_first", "uniform": "uniform"}
 _AFFINITY_NAMES = {"dense": "dense", "knn-sparse": "knn_sparse"}
@@ -50,6 +63,8 @@ def _checked_graph_k(args) -> int:
 
 
 def _build_graph(m, args) -> neighbors.NeighborGraph:
+    from hubsel import neighbors
+
     return neighbors.knn_graph(m, _checked_graph_k(args), metric=args.metric)
 
 
@@ -61,6 +76,10 @@ _CACHE_MEMBERS = ("sha256", "format", "values", "diversity_width", "diversity")
 
 def _feature_key(path) -> tuple[str, str]:
     """SHA-256 and format of a feature file; a bad suffix fails before the read."""
+    import hashlib
+
+    from hubsel import features
+
     fmt = features.feature_format(path)
     return hashlib.sha256(Path(path).read_bytes()).hexdigest(), fmt
 
@@ -75,6 +94,10 @@ def _inputs(args, digest: str, fmt: str, directory: Path, ids=None, graph=True):
     and no members. A graph narrower than the command's width is None, and
     so is the graph of a caller that reads none (``graph`` false): its
     arrays are then neither read nor checked."""
+    import numpy as np
+
+    from hubsel import features, neighbors
+
     path = directory / f"graph_{digest[:12]}_{args.metric}.npz"
     m = None
     if path.exists():
@@ -98,6 +121,10 @@ def _profile(args, out_dir: Path) -> stats.StatProfile:
     of the requested width it computes nothing else either, and a narrower
     graph or another width is recomputed on the cached matrix. A missing or
     unusable archive is rebuilt from a parse. Either replaces the archive."""
+    import numpy as np
+
+    from hubsel import neighbors, stats
+
     digest, fmt = _feature_key(args.features)
     cache, m, g, stored = _inputs(args, digest, fmt, out_dir)
     if g is not None and stored["diversity_width"].tolist() == min(args.m_div, g.k):
@@ -124,6 +151,8 @@ def _profile(args, out_dir: Path) -> stats.StatProfile:
 
 
 def cmd_fuse(args) -> int:
+    from hubsel import features
+
     mats = [features.load_features(p) for p in args.inputs]
     fused = features.fuse(mats)
     features.save_features(fused, args.out)
@@ -134,6 +163,8 @@ def cmd_fuse(args) -> int:
 def cmd_knn(args) -> int:
     if args.k < 1:
         raise ValueError(f"invalid neighbor count k = {args.k}")
+    from hubsel import features, neighbors
+
     m = features.load_features(args.features)
     g = neighbors.knn_graph(m, args.k, metric=args.metric)
     neighbors.save_graph(g, m.ids, args.out)
@@ -142,6 +173,8 @@ def cmd_knn(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from hubsel import stats
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = _profile(args, out_dir)
@@ -156,6 +189,8 @@ def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=Non
     """Features, hubness and LID (from --profiles or the graph), affinity and
     solver run. The analyze archive next to --profiles, when it holds these
     feature bytes and the profile's ids, serves the matrix and the graph."""
+    from hubsel import features, selector, stats
+
     affinity = _AFFINITY_NAMES.get(affinity_name)
     if affinity is None:
         raise ValueError(f"unknown affinity mode '{affinity_name}'")
@@ -190,6 +225,8 @@ def _solve(args, affinity_name: str, init: str, linear=False, max_iterations=Non
 
 
 def cmd_select(args) -> int:
+    from hubsel import selector
+
     m, problem, y, trace = _solve(
         args, args.mode, args.init, linear=args.linear, max_iterations=args.max_iter
     )
@@ -202,6 +239,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from hubsel import evaluation, selector, stats
+
     mode = args.mode
     if mode in evaluation.BASELINE_MODES:
         if not args.profiles:
@@ -227,6 +266,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from hubsel import evaluation
+
     runs = evaluation.load_run(args.run)
     if args.kind == "map":
         if not args.gt:
@@ -251,7 +292,7 @@ def cmd_eval(args) -> int:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--metric", choices=list(neighbors.METRICS), default="cosine")
+    sub.add_argument("--metric", choices=list(METRICS), default="cosine")
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility, no effect: the kNN scan runs one "
                           "worker thread, the packed triangle of a dense affinity, when one "

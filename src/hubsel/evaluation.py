@@ -8,11 +8,12 @@ over the top K items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from hubsel import table
-from hubsel.stats import StatProfile
+
+if TYPE_CHECKING:  # numpy and the stats layer load only where a profile is ranked
+    from hubsel.stats import StatProfile
 
 
 @dataclass
@@ -114,6 +115,8 @@ def baseline_rank(
     sorts by descending subjective score (requires ``scores``). Ties fall
     back to the smaller fragment index.
     """
+    import numpy as np
+
     ids = profile.ids
     n = len(ids)
     idx = np.arange(n)

@@ -33,9 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hubsel import table
-
-METRICS = ("cosine", "euclidean")
+from hubsel import METRICS, table
 
 # Rows per scan block, sized so one block of float32 approximate distances
 # stays around 16 MB: two are live, one reranked while the next is
@@ -46,6 +44,11 @@ _BLOCK_ENTRIES = 4_000_000
 # upper triangle stays around 1 MB next to the n (n + 1) / 2 result.
 # Results do not depend on the split.
 _SELF_BLOCK_ENTRIES = 1 << 17
+
+# Columns per tile of a packed block: at d = 128 their rows take 1 MB
+# (2^20 // (8 d) columns), so the rows a kernel call streams stay in a
+# 2 MB L2 cache. Results do not depend on the split.
+_SELF_TILE_COLUMNS = 1024
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _F32 = np.finfo(np.float32)
@@ -349,12 +352,14 @@ def packed_distances(pairs, n: int) -> np.ndarray:
     (LAPACK's packed storage of a symmetric matrix, read by rows), n (n +
     1) / 2 values in all.
 
-    The triangle is computed in row blocks of about 1 MB, spread over one
-    thread per CPU in the process's affinity mask; each block's row tails
-    are copied in, and the block is dropped. The bytes are those of the
-    full pass whatever the thread count, since cdist computes each pair on
-    its own and the rescaling was decided once for all rows. A block's
-    error reaches the caller, and no thread outlives the call.
+    The triangle is computed in row blocks of at most about 1 MB, spread
+    over one thread per CPU in the process's affinity mask. Each block is
+    computed in tiles of ``_SELF_TILE_COLUMNS`` columns, whose rows a
+    kernel call then reads from cache, and each tile is copied straight
+    into the row tails it covers. The bytes are those of the full pass
+    whatever the thread count, block and tile, since cdist computes each
+    pair on its own and the rescaling was decided once for all rows. A
+    block's error reaches the caller, and no thread outlives the call.
     """
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
@@ -363,12 +368,16 @@ def packed_distances(pairs, n: int) -> np.ndarray:
     block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
 
     # block s writes the tails of rows s:e, packed[starts[s]:starts[e]],
-    # which no other block touches, so the workers need no lock
+    # which no other block touches, so the workers need no lock; row r's
+    # column c is at starts[r] + c - r
     def fill(s: int) -> None:
         e = min(s + block, n)
-        B = pairs(slice(s, e), slice(s, None))
-        for r, start in enumerate(starts[s:e]):
-            packed[start:start + n - s - r] = B[r, r:]
+        for c in range(s, n, _SELF_TILE_COLUMNS):
+            f = min(c + _SELF_TILE_COLUMNS, n)
+            T = pairs(slice(s, e), slice(c, f))
+            for r in range(s, min(e, f)):
+                lo = max(r, c)
+                packed[starts[r] + lo - r:starts[r] + f - r] = T[r - s, lo - c:]
 
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         list(pool.map(fill, range(0, n, block)))  # re-raises a block's error

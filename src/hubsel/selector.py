@@ -307,8 +307,13 @@ def _knn_affinity(graph: NeighborGraph) -> CsrAffinity:
     tools.csr_maximum_csr(
         n, n, indptr, indices, data, t_indptr, t_indices, t_data, a_indptr, a_indices, a_data
     )
+    # the edges and their transpose go before the trim, which shrinks the
+    # result in place: no copy of it is made, and no view of it exists
+    del indptr, indices, data, t_indptr, t_indices, t_data
     size = int(a_indptr[-1])
-    return CsrAffinity(a_indptr, a_indices[:size].copy(), a_data[:size].copy(), (n, n))
+    a_indices.resize(size, refcheck=False)
+    a_data.resize(size, refcheck=False)
+    return CsrAffinity(a_indptr, a_indices, a_data, (n, n))
 
 
 def _minmax(v: np.ndarray, what: str) -> np.ndarray:

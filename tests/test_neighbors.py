@@ -765,6 +765,33 @@ class TestExtremeMagnitudes:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_tiles_of_any_width_give_the_full_pass(
+        self, monkeypatch, distance_paths, metric, workers
+    ):
+        # each row block is computed in tiles of C columns, each copied
+        # straight into the row tails it covers: n runs over one row, a
+        # tile less one, one tile, one more and two tiles and three, with
+        # one-row, three-row and single blocks. Rows near 1e200 and 1e-200
+        # every third row put each lower level of euclidean's range rule on
+        # both sides of every tile edge
+        C = 4
+        monkeypatch.setattr(neighbors, "_SELF_TILE_COLUMNS", C)
+        monkeypatch.setattr(neighbors, "_workers", lambda: workers)
+        rng = np.random.default_rng(39)
+        for n in (1, C - 1, C, C + 1, 2 * C + 3):
+            x = rng.standard_normal((n, 5))
+            extreme = x.copy()
+            extreme[::3] *= 1e200
+            extreme[1::3] *= 1e-200
+            for _, values in itertools.product(distance_paths(), (x, extreme)):
+                want = distance_matrix(values, values, metric)[np.triu_indices(n)].tobytes()
+                for rows in (1, 3, n):
+                    monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
+                    pairs = neighbors._in_range(values, values, metric)[2]
+                    assert neighbors.packed_distances(pairs, n).tobytes() == want
+
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_rows_beyond_float32_range_keep_the_exact_graph(self, metric):
         # the float32 product needs its own power of two beyond float32's
