@@ -15,12 +15,12 @@ truth) and when memory runs out, 2 on I/O failures; a library warning
 is one ``warning:`` line on stderr. All outputs are
 deterministic for a fixed configuration and seed. ``--threads`` is
 accepted for compatibility and has no effect: the kNN scan computes each
-next block's product on one worker thread while it reranks the current
-block, and the dense affinity's upper triangle, which select and rank
-build only once a solve reads more than a quarter of its rows (the
-uniform start does), is computed on one thread per CPU in the process's
-affinity mask, with outputs that do not depend on either. A value below
-1 is still an error.
+next block's product, and that block's k-th values, on one worker
+thread while it reranks the current block, and the dense affinity's
+upper triangle, which select and rank build only once a solve reads
+more than a quarter of its rows (the uniform start does), is computed
+on one thread per CPU in the process's affinity mask, with outputs that
+do not depend on either. A value below 1 is still an error.
 """
 
 from __future__ import annotations
@@ -295,8 +295,9 @@ def _add_common(sub) -> None:
     sub.add_argument("--metric", choices=list(METRICS), default="cosine")
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility, no effect: the kNN scan runs one "
-                          "worker thread, the packed triangle of a dense affinity, when one "
-                          "is built, one per CPU in the affinity mask, with the same outputs")
+                          "worker thread for each next block's product and k-th values, the "
+                          "packed triangle of a dense affinity, when one is built, one per "
+                          "CPU in the affinity mask, with the same outputs")
 
 
 def _add_profile_knobs(sub) -> None:

@@ -45,10 +45,15 @@ _BLOCK_ENTRIES = 4_000_000
 # Results do not depend on the split.
 _SELF_BLOCK_ENTRIES = 1 << 17
 
-# Columns per tile of a packed block: at d = 128 their rows take 1 MB
-# (2^20 // (8 d) columns), so the rows a kernel call streams stay in a
-# 2 MB L2 cache. Results do not depend on the split.
-_SELF_TILE_COLUMNS = 1024
+# Bytes of column rows per tile of a packed block: 2^20 // (8 d) columns,
+# 1024 at d = 128, so the rows a kernel call streams stay in a 2 MB L2
+# cache. Results do not depend on the split.
+_SELF_TILE_BYTES = 1 << 20
+
+# Entries per chunk of a scan block whose k-th values are found at once,
+# sized so each scan thread's float32 chunk of sums, reused, stays around
+# 256 KB. Results do not depend on the split.
+_KTH_ENTRIES = 1 << 16
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _F32 = np.finfo(np.float32)
@@ -345,35 +350,37 @@ def row_starts(n: int) -> np.ndarray:
     return i * n - i * (i - 1) // 2
 
 
-def packed_distances(pairs, n: int) -> np.ndarray:
-    """The distances between the n rows of one matrix and themselves, as
-    ``pairs`` of :func:`_in_range` gives them, packed: the upper triangle,
-    diagonal included, row by row, row i's tail at ``row_starts(n)[i]``
-    (LAPACK's packed storage of a symmetric matrix, read by rows), n (n +
-    1) / 2 values in all.
+def packed_distances(pairs, n: int, d: int) -> np.ndarray:
+    """The distances between the n rows, d wide, of one matrix and
+    themselves, as ``pairs`` of :func:`_in_range` gives them, packed: the
+    upper triangle, diagonal included, row by row, row i's tail at
+    ``row_starts(n)[i]`` (LAPACK's packed storage of a symmetric matrix,
+    read by rows), n (n + 1) / 2 values in all.
 
     The triangle is computed in row blocks of at most about 1 MB, spread
     over one thread per CPU in the process's affinity mask. Each block is
-    computed in tiles of ``_SELF_TILE_COLUMNS`` columns, whose rows a
-    kernel call then reads from cache, and each tile is copied straight
-    into the row tails it covers. The bytes are those of the full pass
-    whatever the thread count, block and tile, since cdist computes each
-    pair on its own and the rescaling was decided once for all rows. A
-    block's error reaches the caller, and no thread outlives the call.
+    computed in tiles of as many columns as take ``_SELF_TILE_BYTES`` of
+    float64 rows, d wide, which a kernel call then reads from cache, and
+    each tile is copied straight into the row tails it covers. The bytes
+    are those of the full pass whatever the thread count, block and tile,
+    since cdist computes each pair on its own and the rescaling was
+    decided once for all rows. A block's error reaches the caller, and no
+    thread outlives the call.
     """
     from concurrent.futures import ThreadPoolExecutor  # ~8 ms of start-up, for a pool only
 
     packed = np.empty(n * (n + 1) // 2, dtype=np.float64)
     starts = row_starts(n).tolist()
     block = max(1, _SELF_BLOCK_ENTRIES // max(n, 1))
+    tile = max(1, _SELF_TILE_BYTES // (8 * max(d, 1)))
 
     # block s writes the tails of rows s:e, packed[starts[s]:starts[e]],
     # which no other block touches, so the workers need no lock; row r's
     # column c is at starts[r] + c - r
     def fill(s: int) -> None:
         e = min(s + block, n)
-        for c in range(s, n, _SELF_TILE_COLUMNS):
-            f = min(c + _SELF_TILE_COLUMNS, n)
+        for c in range(s, n, tile):
+            f = min(c + tile, n)
             T = pairs(slice(s, e), slice(c, f))
             for r in range(s, min(e, f)):
                 lo = max(r, c)
@@ -462,6 +469,43 @@ def _approximate(Y: np.ndarray, sq: np.ndarray | None, s: int, e: int, out) -> n
     return approx
 
 
+class _KthValues:
+    """The k-th smallest L_ij + w_j of each row of one scan block, float32,
+    found a chunk of rows at a time: each chunk is summed with ``w_up``
+    into the claiming thread's own scratch and partitioned there along its
+    rows. After the block's product the worker claims chunks until the
+    calling thread arrives for the block; that thread claims the rest.
+    The k-th value is an order statistic, so it depends neither on the
+    chunks nor on the thread."""
+
+    def __init__(self, rows: int, w_up: np.ndarray, k: int):
+        self.values = np.empty(rows, dtype=np.float32)
+        self._w_up, self._k = w_up, k
+        self._next = 0  # the first row no thread has claimed
+        self._arrived = False
+        self._lock = threading.Lock()
+
+    def arrive(self) -> None:
+        """The calling thread is ready for the block: the worker claims no
+        further chunk."""
+        with self._lock:
+            self._arrived = True
+
+    def fill(self, approx: np.ndarray, scratch: np.ndarray, worker: bool = False) -> None:
+        """The k-th values of the chunks of ``approx`` this thread claims,
+        each as many rows as ``scratch`` holds."""
+        while True:
+            with self._lock:
+                c = self._next
+                if c >= len(approx) or (worker and self._arrived):
+                    return
+                self._next = c + len(scratch)
+            sums = scratch[: len(approx) - c]
+            np.add(approx[c:c + len(sums)], self._w_up, out=sums)
+            sums.partition(self._k - 1, axis=1)
+            self.values[c:c + len(sums)] = sums[:, self._k - 1]
+
+
 def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     """Build the exact kNN graph of a feature matrix.
 
@@ -484,11 +528,16 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     the exact distances.
 
     Query rows are taken in blocks. One worker thread computes the next
-    block's product while the calling thread reranks the current one, so
-    the product, which releases the interpreter lock, overlaps the rerank,
-    which holds it; the bytes do not depend on the split, and no thread
-    outlives the call. The scan holds two blocks of float32 values, rows x
-    n each, and a float32 copy of the rows.
+    block's product and then also finds that block's k-th smallest
+    L_ij + w_j per row, a chunk of rows at a time, while the calling
+    thread bounds, shortlists and reranks the current block; the calling
+    thread finds the k-th values of the chunks the worker has not reached
+    when it turns to the block. So the product and the partitions, which
+    release the interpreter lock, overlap the rerank, which holds it. The
+    bytes do not depend on the split, and no thread outlives the call.
+    The scan holds two blocks of float32 values, rows x n each, one chunk
+    of about 256 KB per thread in which it sums and partitions rows, and a
+    float32 copy of the rows.
 
     Parameters
     ----------
@@ -596,23 +645,37 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
     # two block buffers, filled in turn and allocated once, so the two live
     # blocks never cost a third one's memory (one block leaves one untouched)
     buffers = np.empty((2, block, n), dtype=np.float32)
-    sums = np.empty(n, dtype=np.float32)  # one row's L_ij + w_j, partitioned in place
+    # one chunk of L_ij + w_j rows for each thread, reused by every block
+    scratch = np.empty((2, min(max(1, _KTH_ENTRIES // n), block), n), dtype=np.float32)
+
+    def queue(s: int):
+        """The block of rows s on: its product and then the worker's chunks
+        of its k-th values, queued on the worker."""
+        e = min(s + block, n)
+        kth = _KthValues(e - s, w_up, k_eff)
+        product = pool.submit(_approximate, Y, sq, s, e, buffers[(s // block) % 2])
+        chunks = pool.submit(lambda: kth.fill(product.result(), scratch[1], worker=True))
+        return product, chunks, kth
+
+    # the first block is computed here, so a single block starts no thread
     approx = _approximate(Y, sq, 0, block, buffers[0])
-    # the worker fills the other buffer; a single block starts no thread,
-    # and a failed product raises at its result
+    ahead = (None, None, _KthValues(block, w_up, k_eff))
     with ThreadPoolExecutor(max_workers=1) as pool:
         for s in range(0, n, block):
             e = min(s + block, n)
-            ahead = None if e == n else pool.submit(
-                _approximate, Y, sq, e, min(e + block, n), buffers[(e // block) % 2]
-            )
-            kth = np.empty(e - s, dtype=np.float32)
-            for r, row in enumerate(approx):
-                np.add(row, w_up, out=sums)
-                sums.partition(k_eff - 1)
-                kth[r] = sums[k_eff - 1]
+            product, chunks, kth = ahead
+            kth.arrive()
+            if product:
+                approx = product.result()  # a failed product raises here
+            # the worker computes the next product, into the buffer of the
+            # block reranked last, while this thread finds the k-th values
+            # of the chunks the worker left and reranks
+            ahead = None if e == n else queue(e)
+            kth.fill(approx, scratch[0])
+            if chunks:
+                chunks.result()  # the worker's last chunk
             # t_i, one float32 ulp above the k-th sum, and each row's bound
-            t = np.nextafter(kth, np.float32(np.inf)).astype(np.float64)
+            t = np.nextafter(kth.values, np.float32(np.inf)).astype(np.float64)
             bounds = _float32_ceil(t + w[s:e] + 2.0 * a[s:e])
             for i, row, bound in zip(range(s, e), approx, bounds):
                 cand = np.flatnonzero(row <= bound)
@@ -620,7 +683,6 @@ def knn_graph(m, k: int, metric: str = "cosine") -> NeighborGraph:
                 order = np.argsort(dist, kind="stable")[:k_eff]
                 indices[i] = cand[order]
                 distances[i] = dist[order]
-            approx = ahead.result() if ahead else None
     return NeighborGraph(k=k_eff, metric=metric, indices=indices, distances=distances)
 
 

@@ -180,7 +180,7 @@ class DenseAffinity:
 
     def __init__(self, values: np.ndarray, metric: str):
         values = np.asarray(values, dtype=np.float64)
-        n = values.shape[0]
+        n, self._width = values.shape
         self.shape = (n, n)
         # rows computed on demand, or, once A is built, the last rows read
         # in the order read (a dict keeps it)
@@ -209,7 +209,7 @@ class DenseAffinity:
         if self._packed is None:
             self._rows.clear()
             n = self.shape[0]
-            packed = packed_distances(self._pairs, n)
+            packed = packed_distances(self._pairs, n, self._width)
             self._starts = row_starts(n)
             packed[self._starts] = 0.0  # the diagonal
             # A[j, i] for j < i lies at heads[j] + i
@@ -527,15 +527,21 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
     converged = False
     # r is held only masked: r_hi is r on the receivers (y below 1), -inf
     # elsewhere, r_lo is r on the donors (y above 0), +inf elsewhere, and
-    # each fragment is one or both. An update adds its delta to both and
-    # re-masks i and j alone, the only entries of y it moves. No receiver
-    # or no donor gives eta = -inf; an overflow stays non-finite in both.
-    r_hi = np.where(y < 1.0 - TOLERANCE, r, -np.inf)
-    r_lo = np.where(y > TOLERANCE, r, np.inf)
+    # each fragment is one or both. An update adds its delta to both, the
+    # two rows of one array, and re-masks i and j alone, the only entries
+    # of y it moves. No receiver or no donor gives eta = -inf; an overflow
+    # stays non-finite in both.
+    masked = np.array([np.where(y < 1.0 - TOLERANCE, r, -np.inf),
+                       np.where(y > TOLERANCE, r, np.inf)])
+    r_hi, r_lo = masked
+    delta = np.empty(n)
+    # the receiver's row is kept while it stays the receiver (a uniform
+    # start moves its mass into few of them); no row read is written to
+    receiver = row_i = None
 
     for _ in range(max_iter):
-        i = int(np.argmax(r_hi))
-        j = int(np.argmin(r_lo))
+        i = int(r_hi.argmax())
+        j = int(r_lo.argmin())
         eta = float(r_hi[i] - r_lo[j])
         if eta <= TOLERANCE:
             converged = True
@@ -543,7 +549,9 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         cap_j, cap_i = float(y[j]), 1.0 - float(y[i])
         box = min(cap_j, cap_i)
         if paired:
-            row_i, row_j = p.a[i], p.a[j]
+            if i != receiver:
+                receiver, row_i = i, p.a[i]
+            row_j = p.a[j]
             sigma = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
         else:
             sigma = 0.0
@@ -562,10 +570,9 @@ def solve(p: SelectionProblem, cfg: SolverConfig | None = None):
         y[i] = 1.0 if alpha >= cap_i else y[i] + alpha
 
         if paired:
-            delta = row_i - row_j
+            np.subtract(row_i, row_j, out=delta)
             delta *= 2.0 * alpha / denom
-            r_hi += delta
-            r_lo += delta
+            masked += delta
         for t, r_t in ((i, r_hi[i]), (j, r_lo[j])):  # a receiver and a donor
             r_hi[t] = r_t if y[t] < 1.0 - TOLERANCE else -np.inf
             r_lo[t] = r_t if y[t] > TOLERANCE else np.inf

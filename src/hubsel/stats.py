@@ -246,12 +246,22 @@ SCATTER_HEADER = "id,lid,N_k,diversity"
 def save_profile_csv(profile: StatProfile, path) -> None:
     """Write per-fragment rows ``id,N_k,category,lid,degenerate,diversity``."""
     hub, lid, div = profile.hubness, profile.lid, profile.diversity
-    rows = (
-        (ident, str(int(hub.scores[i])), str(hub.categories[i]), repr(float(lid.lids[i])),
-         str(int(lid.degenerate[i])), repr(float(div.values[i])))
-        for i, ident in enumerate(profile.ids)
+    rows = zip(
+        profile.ids, map(str, _ints(hub.scores)), map(str, np.asarray(hub.categories).tolist()),
+        map(repr, _floats(lid.lids)), map(str, _ints(lid.degenerate)),
+        map(repr, _floats(div.values)), strict=True,
     )
     table.write_rows(path, rows, header=PROFILE_HEADER)
+
+
+def _ints(v) -> list[int]:
+    """``v`` as Python ints, each the ``int()`` of its entry."""
+    return np.asarray(v).astype(np.int64).tolist()
+
+
+def _floats(v) -> list[float]:
+    """``v`` as Python floats, each the ``float()`` of its entry."""
+    return np.asarray(v, dtype=np.float64).tolist()
 
 
 def load_profile_csv(path) -> StatProfile:
@@ -316,8 +326,6 @@ def save_summary_json(profile: StatProfile, path) -> dict:
 def save_scatter_csv(profile: StatProfile, path) -> None:
     """Write ``id,lid,N_k,diversity`` rows for scatter plotting."""
     lid, hub, div = profile.lid, profile.hubness, profile.diversity
-    rows = (
-        (ident, repr(float(lid.lids[i])), str(int(hub.scores[i])), repr(float(div.values[i])))
-        for i, ident in enumerate(profile.ids)
-    )
+    rows = zip(profile.ids, map(repr, _floats(lid.lids)), map(str, _ints(hub.scores)),
+               map(repr, _floats(div.values)), strict=True)
     table.write_rows(path, rows, header=SCATTER_HEADER)

@@ -423,6 +423,85 @@ class TestExactKernel:
         assert len(graphs) == 1
         assert_exact_graph(values, 12, metric)
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_kth_chunks_of_any_height_give_the_full_sort(self, monkeypatch, metric):
+        """Each block's k-th values are found a chunk of rows at a time, in
+        a reused scratch per thread. Chunks of 1 row, 3 rows and more rows
+        than the 7-row block (capped at the block), and a collection below
+        one chunk, give the graph of a full sort; so do rows of 1000x the
+        norm and a common offset of 1000."""
+        rng = np.random.default_rng(44)
+        values = rng.normal(1.0, 1.0, (90, 6))
+        outliers = values.copy()
+        outliers[:3] *= 1000.0
+        heights = set()
+        fill = neighbors._KthValues.fill
+
+        def recorded(self, approx, scratch, worker=False):
+            heights.add(len(scratch))
+            return fill(self, approx, scratch, worker)
+
+        monkeypatch.setattr(neighbors._KthValues, "fill", recorded)
+        default = (neighbors._BLOCK_ENTRIES, neighbors._KTH_ENTRIES)
+        assert default[1] > 90 * 90  # one default chunk holds every row
+        cases = [
+            (7 * 90, 90, {1}),  # 7-row blocks, 13 in all
+            (7 * 90, 3 * 90, {3}),
+            (7 * 90, 8 * 90, {7}),
+            (*default, {90}),
+        ]
+        for collection in (values, outliers, values + 1000.0):
+            for block_entries, kth_entries, want in cases:
+                monkeypatch.setattr(neighbors, "_BLOCK_ENTRIES", block_entries)
+                monkeypatch.setattr(neighbors, "_KTH_ENTRIES", kth_entries)
+                heights.clear()
+                assert_exact_graph(collection, 12, metric)
+                assert heights == want
+
+    def test_kth_chunks_claimed_by_many_threads_cover_every_row(self):
+        """More threads than CPUs claim one block's chunks at once, each in
+        its own scratch, with the interpreter switching threads as often
+        as it can: every row gets its k-th value, whichever thread takes
+        its chunk, and the worker threads end."""
+        rng = np.random.default_rng(45)
+        approx = rng.standard_normal((301, 50)).astype(np.float32)
+        w_up = rng.uniform(size=50).astype(np.float32)
+        want = np.partition(approx + w_up, 6, axis=1)[:, 6]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                kth = neighbors._KthValues(301, w_up, 7)
+                kth.values.fill(np.nan)
+                workers = [
+                    threading.Thread(target=kth.fill,
+                                     args=(approx, np.empty((3, 50), np.float32), True))
+                    for _ in range(8)
+                ]
+                for t in workers:
+                    t.start()
+                kth.fill(approx, np.empty((3, 50), np.float32))
+                for t in workers:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in workers)
+                assert kth.values.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_claims_no_chunk_once_the_caller_arrives(self):
+        """Once the calling thread arrives for a block, the worker claims no
+        further chunk and can turn to the next product; the calling thread
+        claims every chunk left."""
+        approx = np.random.default_rng(46).standard_normal((10, 8)).astype(np.float32)
+        w_up = np.zeros(8, dtype=np.float32)
+        kth = neighbors._KthValues(10, w_up, 3)
+        kth.values.fill(np.nan)
+        kth.arrive()
+        kth.fill(approx, np.empty((3, 8), np.float32), worker=True)
+        assert np.isnan(kth.values).all()
+        kth.fill(approx, np.empty((3, 8), np.float32))
+        assert kth.values.tobytes() == np.partition(approx, 2, axis=1)[:, 2].tobytes()
+
     @pytest.mark.parametrize("case", ["rows of 1000x the norm", "common offset of 1000"])
     def test_euclidean_shortlists_stay_near_k(self, monkeypatch, case):
         """A pair's error bound grows with its own rows' norms, taken about
@@ -719,7 +798,8 @@ class TestExtremeMagnitudes:
                 assert distance_matrix(x, x, metric).tobytes() == full.tobytes()
                 for rows in (1, 2, n):
                     monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
-                    packed = neighbors.packed_distances(neighbors._in_range(x, x, metric)[2], n)
+                    pairs = neighbors._in_range(x, x, metric)[2]
+                    packed = neighbors.packed_distances(pairs, n, d)
                     assert packed.tobytes() == full[np.triu_indices(n)].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -758,7 +838,7 @@ class TestExtremeMagnitudes:
                     want[np.ix_(rest, rest)] = cdist(values[rest], values[rest])
                 before = threading.active_count()
                 pairs = neighbors._in_range(values, values, metric)[2]
-                packed = neighbors.packed_distances(pairs, 23)
+                packed = neighbors.packed_distances(pairs, 23, 16)
                 assert packed.tobytes() == want[np.triu_indices(23)].tobytes()
                 assert threading.active_count() == before
                 assert distance_matrix(values, values, metric).tobytes() == want.tobytes()
@@ -775,9 +855,10 @@ class TestExtremeMagnitudes:
         # tile less one, one tile, one more and two tiles and three, with
         # one-row, three-row and single blocks. Rows near 1e200 and 1e-200
         # every third row put each lower level of euclidean's range rule on
-        # both sides of every tile edge
+        # both sides of every tile edge. C columns of d = 5 float64s take
+        # 8 * 5 * C bytes
         C = 4
-        monkeypatch.setattr(neighbors, "_SELF_TILE_COLUMNS", C)
+        monkeypatch.setattr(neighbors, "_SELF_TILE_BYTES", 8 * 5 * C)
         monkeypatch.setattr(neighbors, "_workers", lambda: workers)
         rng = np.random.default_rng(39)
         for n in (1, C - 1, C, C + 1, 2 * C + 3):
@@ -790,7 +871,7 @@ class TestExtremeMagnitudes:
                 for rows in (1, 3, n):
                     monkeypatch.setattr(neighbors, "_SELF_BLOCK_ENTRIES", rows * n)
                     pairs = neighbors._in_range(values, values, metric)[2]
-                    assert neighbors.packed_distances(pairs, n).tobytes() == want
+                    assert neighbors.packed_distances(pairs, n, 5).tobytes() == want
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_rows_beyond_float32_range_keep_the_exact_graph(self, metric):

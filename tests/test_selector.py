@@ -613,6 +613,38 @@ class TestSolve:
                     assert y.tobytes() == y_ref.tobytes()
                     assert repr(trace) == repr(trace_ref)
 
+    @pytest.mark.parametrize("backing", ["csr", "dense_built"])
+    def test_receiver_row_is_read_once_while_it_stays_the_receiver(self, monkeypatch, backing):
+        """A uniform start moves its mass into few receivers. The solver
+        keeps the receiver's row while the receiver stays the same, so it
+        reads one donor row per iteration and one receiver row per change
+        of receiver, the first included, with the bytes of an uncounted
+        solve."""
+        monkeypatch.setattr(selector, "_ON_DEMAND_SHARE", 0.0)  # built at the first read
+
+        class RowCounter:
+            def __init__(self, a):
+                self.a, self.shape, self.reads = a, a.shape, 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return self.a[i]
+
+            def __matmul__(self, y):
+                return self.a @ y
+
+        cfg = SolverConfig(init="uniform")
+        p, q = (_backed_problem(backing, np.random.default_rng(40), 200, 10) for _ in range(2))
+        counted = RowCounter(p.a)
+        p.a = counted
+        y, trace = solve(p, cfg)
+        receivers = [update[2] for update in trace.updates]
+        changes = sum(1 for t, i in enumerate(receivers) if t == 0 or i != receivers[t - 1])
+        assert trace.iterations > changes > 0
+        assert counted.reads == trace.iterations + changes
+        y_ref, trace_ref = solve(q, cfg)
+        assert y.tobytes() == y_ref.tobytes() and repr(trace) == repr(trace_ref)
+
     def test_custom_init_validated(self):
         p = random_selection_problem(np.random.default_rng(14), n=5, k=2)
         rejected = {
